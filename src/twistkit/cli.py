@@ -62,8 +62,8 @@ def _pyify(x):
     return x
 
 
-def _emit(doc, out):
-    out.write(json.dumps(_pyify(doc), sort_keys=True, separators=(",", ":")) + "\n")
+def _dumps(doc) -> str:
+    return json.dumps(_pyify(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _read_json(path: str):
@@ -217,6 +217,16 @@ def _cmd_hirsch(args):
     return doc, dsc.derivation_lines(d)
 
 
+# f(92) has 4226 decimal digits; f(93) exceeds Python's default limit of
+# 4300 digits for converting an int to a string
+_F_ARG_CAP = 92
+
+
+def _check_f_argument(n: int) -> None:
+    if n > _F_ARG_CAP:
+        raise ValueError(f"f(n) is printed for n <= {_F_ARG_CAP} only, got n = {n}")
+
+
 def _cmd_bound(args):
     chosen = [
         args.f is not None,
@@ -229,10 +239,12 @@ def _cmd_bound(args):
         raise ValueError("pick exactly one of --f, --twisted, --hw, --nilpotent, --wreath-finite-k")
     if args.f is not None:
         n = args.f
+        _check_f_argument(n)
         val = bnd.f_bound(n)
         return val, [f"f({n}) by recursion; closed form agrees: {bnd.f_closed_form(n) == val}"]
     if args.twisted is not None:
         hg, hh2 = args.twisted
+        _check_f_argument(hg + hh2)
         return bnd.twisted_bound(hg, hh2), [f"f({hg} + {hh2})"]
     if args.hw is not None:
         a, l, d = args.hw
@@ -345,12 +357,13 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 2 if code is None else int(code)
     try:
         doc, notes = args.handler(args)
+        text = _dumps(doc)
     except (TwistkitError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         err.write(f"error: {exc}\n")
         return 1
     for line in notes:
         err.write(line + "\n")
-    _emit(doc, out)
+    out.write(text)
     return 0
 
 

@@ -6,10 +6,18 @@ basis order), with boundaries
     d2(g1, g2)     = (g1) - (g1 g2) + (g2)
     d3(g1, g2, g3) = (g2, g3) - (g1 g2, g3) + (g1, g2 g3) - (g1, g2)
 
-H1 = C1 / im(d2) and H2 = ker(d2) / im(d3); both are finite here.  The
-module also produces splittings sigma of d2 onto its image, the induced
-projection pi = id - sigma d2 onto the cycle lattice, and its reduction
-pibar to H2 coordinates, which downstream code feeds into extension and
+H1 = C1 / im(d2) and H2 = ker(d2) / im(d3); both are finite here.
+
+h1 and h2 return invariant factors only.  They use the normalized complex,
+which drops every tuple containing the identity (and every face landing
+on one), and read the torsion of the cokernel prime by prime from local
+Smith forms over Z/p^(e+1), for each p^e exactly dividing |G|.
+
+The exact path works on the full complex: h2_presentation gives cycle
+representatives and H2 coordinates in the pair basis, make_splitting a
+splitting sigma of d2 onto its image, the induced projection pi = id -
+sigma d2 onto the cycle lattice, and its reduction pibar to H2
+coordinates, which downstream code feeds into extension and
 twisted-algebra constructions.
 """
 
@@ -51,30 +59,49 @@ class ChainData:
         return (g1 * self.m + g2) * self.m + g3
 
 
-def build_chain(G: FiniteGroup) -> ChainData:
-    """Boundary matrices of the bar complex; verifies d2 @ d3 = 0."""
-    m = G.order
+def _check_order(m: int) -> None:
     if m > _ORDER_CAP:
         raise ResourceCapError(f"bar complex capped at order {_ORDER_CAP}, got {m}")
-    tbl = G.table
-    cols2 = np.arange(m * m)
-    g1 = cols2 // m
-    g2 = cols2 % m
-    d2 = np.zeros((m, m * m), dtype=np.int64)
-    np.add.at(d2, (g1, cols2), 1)
-    np.add.at(d2, (g2, cols2), 1)
-    np.add.at(d2, (tbl[g1, g2], cols2), -1)
 
-    cols3 = np.arange(m * m * m)
-    h1 = cols3 // (m * m)
-    h2 = (cols3 // m) % m
-    h3 = cols3 % m
-    d3 = np.zeros((m * m, m * m * m), dtype=np.int64)
-    np.add.at(d3, (h2 * m + h3, cols3), 1)
-    np.add.at(d3, (tbl[h1, h2] * m + h3, cols3), -1)
-    np.add.at(d3, (h1 * m + tbl[h2, h3], cols3), 1)
-    np.add.at(d3, (h1 * m + h2, cols3), -1)
 
+def _bar_d2(tbl: np.ndarray, lo: int) -> np.ndarray:
+    """d2 on the pairs of elements with index >= lo, faces below lo dropped.
+
+    lo = 0 gives the full bar complex, lo = 1 the normalized one (no tuple
+    contains the identity); element i sits at position i - lo.
+    """
+    n = len(tbl) - lo
+    el = np.arange(lo, len(tbl))
+    g1, g2 = np.repeat(el, n), np.tile(el, n)
+    cols = np.arange(n * n)
+    d2 = np.zeros((n, n * n), dtype=np.int64)
+    for sign, face in ((1, g1), (-1, tbl[g1, g2]), (1, g2)):
+        keep = face >= lo
+        np.add.at(d2, (face[keep] - lo, cols[keep]), sign)
+    return d2
+
+
+def _bar_d3(tbl: np.ndarray, lo: int) -> np.ndarray:
+    """d3 on the triples of elements with index >= lo, as _bar_d2."""
+    n = len(tbl) - lo
+    el = np.arange(lo, len(tbl))
+    h1 = np.repeat(el, n * n)
+    h2 = np.tile(np.repeat(el, n), n)
+    h3 = np.tile(el, n * n)
+    cols = np.arange(n**3)
+    d3 = np.zeros((n * n, n**3), dtype=np.int64)
+    faces = ((1, h2, h3), (-1, tbl[h1, h2], h3), (1, h1, tbl[h2, h3]), (-1, h1, h2))
+    for sign, a, b in faces:
+        keep = (a >= lo) & (b >= lo)
+        np.add.at(d3, ((a[keep] - lo) * n + b[keep] - lo, cols[keep]), sign)
+    return d3
+
+
+def build_chain(G: FiniteGroup) -> ChainData:
+    """Boundary matrices of the bar complex; verifies d2 @ d3 = 0."""
+    _check_order(G.order)
+    d2 = _bar_d2(G.table, 0)
+    d3 = _bar_d3(G.table, 0)
     if np.any(d2 @ d3):
         raise VerificationError("d2 @ d3 != 0")
     d2.setflags(write=False)
@@ -143,14 +170,72 @@ def h2_presentation(chain: ChainData) -> H2Presentation:
     )
 
 
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, e) for every p^e exactly dividing m."""
+    out = []
+    p = 2
+    while m > 1:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
+
+
+def _finite_cokernel(M: np.ndarray, m: int, rank: int) -> intlin.AbelianInvariants:
+    """Torsion of coker(M) for a boundary matrix of a group of order m.
+
+    The nonzero Smith entries of M are 1 or invariant factors of that
+    torsion (H1 or H2 here), whose exponent divides m.  So for each p^e
+    exactly dividing m the local Smith form over Z/p^(e+1) sees all of
+    them: its valuations give the p-part, and its pivot count must equal
+    the given rank of M.
+    """
+    orders = []
+    for p, e in _prime_powers(m):
+        vals = intlin.local_smith_valuations(M, p, e + 1)
+        if len(vals) != rank:
+            raise VerificationError(f"{len(vals)} pivots mod {p}^{e + 1}, expected rank {rank}")
+        orders.extend(p**v for v in vals if v)
+    return intlin.invariants_from_orders(orders)
+
+
 def h1(G: FiniteGroup) -> intlin.AbelianInvariants:
-    """C1 modulo boundaries; coincides with the abelianization of G."""
-    chain = build_chain(G)
-    return intlin.cokernel_invariants(chain.d2)
+    """C1 / im(d2) on the normalized bar complex (d1 = 0, so this is H1);
+    coincides with the abelianization of G."""
+    m = G.order
+    _check_order(m)
+    return _finite_cokernel(_bar_d2(G.table, 1), m, m - 1)
+
+
+def _distinct_columns(d3: np.ndarray) -> np.ndarray:
+    """The nonzero columns of d3, each once: the others add nothing to the
+    image.  Columns are compared as int8 byte strings (entries are in
+    [-4, 4]), in order of first occurrence."""
+    d3 = d3[:, np.any(d3, axis=0)]
+    rows = np.ascontiguousarray(d3.T, dtype=np.int8)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return d3[:, np.sort(first)]
 
 
 def h2(G: FiniteGroup) -> intlin.AbelianInvariants:
-    return h2_presentation(build_chain(G)).invariants
+    """H2 as the torsion of coker(d3) on the normalized bar complex.
+
+    C2 / Z2 is isomorphic to the free group B1, so coker(d3) = H2 + free,
+    and rank(d3) = rank(Z2) = (m-1)^2 - (m-1) because H1 and H2 are
+    finite.  The prime-by-prime local Smith forms of d3 give H2 exactly.
+    """
+    m = G.order
+    _check_order(m)
+    d2 = _bar_d2(G.table, 1)
+    d3 = _distinct_columns(_bar_d3(G.table, 1))
+    if np.any(d2 @ d3):
+        raise VerificationError("d2 @ d3 != 0")
+    return _finite_cokernel(d3, m, (m - 1) * (m - 2))
 
 
 @dataclass(frozen=True)

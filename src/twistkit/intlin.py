@@ -1,6 +1,7 @@
-"""Exact integer linear algebra: Smith/Hermite normal forms, kernels,
-integer solves, and the invariant-factor calculus of finitely generated
-abelian groups (direct sums, Ext, torsion-free quotients).
+"""Exact integer linear algebra: Smith/Hermite normal forms, local Smith
+forms modulo p^k, kernels, integer solves, and the invariant-factor
+calculus of finitely generated abelian groups (direct sums, Ext,
+torsion-free quotients).
 
 Matrices are 2-D numpy arrays, either int64 (fast path) or object dtype
 holding Python ints (exact path).  All results are exact; the fast path
@@ -10,7 +11,7 @@ falls back automatically whenever an intermediate could leave int64 range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -91,6 +92,65 @@ def smith_diagonal(M) -> list[int]:
     D, _, _ = _run_snf(M, False, False)
     n = min(D.shape)
     return [int(D[i, i]) for i in range(n)]
+
+
+# columns screened at once for unit entries in local_smith_valuations
+_SWEEP_BLOCK = 64
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
+
+
+def local_smith_valuations(M, p: int, k: int) -> list[int]:
+    """p-adic valuations, ascending, of the Smith diagonal entries of M whose
+    valuation is below k.
+
+    Works over Z/p^k in int64: level t eliminates with pivots p^t * unit,
+    and only rows with a nonzero entry in the pivot column are updated (on
+    the pivot row's nonzero columns).  Entries that vanish mod p^k are
+    invisible, so the list length is rank(M) exactly when no nonzero Smith
+    entry has valuation >= k.  Raises ValueError unless p is prime, k >= 1
+    and (p^k)^2 fits in int64.
+    """
+    p, k = int(p), int(k)
+    if not _is_prime(p) or k < 1:
+        raise ValueError(f"need a prime p and k >= 1, got p={p}, k={k}")
+    q = p**k
+    if q * q >= 1 << 63:
+        raise ValueError(f"p^k = {q} too large for exact int64 products")
+    A = np.asarray(np.mod(as_int_matrix(M), q), dtype=np.int64)
+    vals: list[int] = []
+    for t in range(k):
+        A = A[np.any(A, axis=1)][:, np.any(A, axis=0)]
+        if A.size == 0:
+            break
+        # one column sweep: once a column has no unit among the live rows,
+        # updates only add multiples of p to it, so it never gains one; each
+        # block of columns is screened for units in one vectorized step
+        live = np.ones(A.shape[0], dtype=bool)
+        for j0 in range(0, A.shape[1], _SWEEP_BLOCK):
+            screen = np.any(A[live, j0 : j0 + _SWEEP_BLOCK] % p, axis=0)
+            for j in j0 + screen.nonzero()[0]:
+                col = A[:, j]
+                cand = (live & (col % p != 0)).nonzero()[0]
+                if cand.size == 0:
+                    continue
+                if cand.size > 1:  # sparsest pivot row: least work and fill-in
+                    cand = cand[np.argsort(np.count_nonzero(A[cand], axis=1), kind="stable")]
+                i = cand[0]
+                live[i] = False
+                vals.append(t)
+                rows = (live & (col != 0)).nonzero()[0][:, None]
+                if rows.size == 0:
+                    continue
+                nz = A[i].nonzero()[0]
+                f = col[rows] * pow(int(col[i]), -1, q) % q
+                A[rows, nz] = (A[rows, nz] - f * A[i, nz]) % q
+        # every live entry is now divisible by p: go one level up
+        A = A[live] // p
+        q //= p
+    return vals
 
 
 def _run_hnf(M, track_v: bool):

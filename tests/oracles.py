@@ -167,6 +167,7 @@ def corpus_with_h2() -> list[tuple[groups.FiniteGroup, tuple[int, ...]]]:
         (groups.dihedral(4), EXPECTED_H2["dihedral(4)"]),
         (groups.quaternion8(), EXPECTED_H2["quaternion8"]),
         (groups.symmetric(3), EXPECTED_H2["symmetric(3)"]),
+        (groups.symmetric(4), EXPECTED_H2["symmetric(4)"]),
         (groups.direct_product(c2, c4), EXPECTED_H2["Z2xZ4"]),
         (groups.direct_product(c4, c4), EXPECTED_H2["Z4xZ4"]),
         (groups.direct_product(c2, groups.klein()), EXPECTED_H2["Z2^3"]),

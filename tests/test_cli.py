@@ -2,12 +2,25 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistkit
 from twistkit.cli import load_descriptor, load_group, load_subgroup, run
 from twistkit.descriptors import Finite, FreeAbelian, Zinv
 from twistkit.groups import klein, quaternion8
+
+
+def _child_env():
+    # the child imports the same twistkit as this process
+    env = dict(os.environ)
+    src = str(Path(twistkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def invoke(*argv):
@@ -160,6 +173,27 @@ class TestErrors:
     def test_conflicting_bound_flags(self):
         code, _, err = invoke("bound", "--f", "2", "--hw", "1", "1", "1")
         assert code == 1 and "exactly one" in err
+
+    def test_bound_too_many_digits_is_domain_error(self):
+        # f(93) has more digits than Python converts to a string by default
+        for argv in (("--f", "100"), ("--f", "93"), ("--twisted", "50", "43")):
+            code, out, err = invoke("bound", *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "92" in err
+        code, out, _ = invoke("bound", "--twisted", "46", "46")
+        assert code == 0 and len(out) == 4227
+
+    def test_bound_too_many_digits_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistkit.cli", "bound", "--f", "100"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

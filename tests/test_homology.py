@@ -10,7 +10,7 @@ from oracles import (
     hopf_h2,
     relabeled,
 )
-from twistkit import groups, homology
+from twistkit import groups, homology, intlin
 from twistkit.errors import ResourceCapError
 
 SMALL = [
@@ -88,6 +88,26 @@ class TestHomologyGroups:
             want = homology.h2(G)
             for seed in (1, 5):
                 assert homology.h2(relabeled(G, seed)) == want
+
+    def test_invariants_match_exact_presentation(self):
+        # the exact path through the full bar complex is the reference
+        for base in SMALL:
+            for G in (base, relabeled(base, 2), relabeled(base, 7)):
+                chain = homology.build_chain(G)
+                assert homology.h2(G) == homology.h2_presentation(chain).invariants
+                assert homology.h1(G) == intlin.cokernel_invariants(chain.d2)
+
+    def test_trivial_group(self):
+        G = groups.cyclic(1)
+        assert homology.h1(G).is_trivial
+        assert homology.h2(G).is_trivial
+        assert homology.h2_presentation(homology.build_chain(G)).invariants.is_trivial
+
+    def test_order_cap(self):
+        big = groups.direct_product(groups.symmetric(4), groups.cyclic(2))
+        for fn in (homology.h1, homology.h2):
+            with pytest.raises(ResourceCapError):
+                fn(big)
 
     def test_presentation_cycles(self):
         for G in (groups.klein(), groups.dihedral(4)):

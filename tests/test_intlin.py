@@ -120,6 +120,59 @@ class TestSmithForm:
         assert diag[0] * diag[1] == abs(det)
 
 
+def _valuation(d: int, p: int) -> int:
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    return v
+
+
+class TestLocalSmith:
+    def test_hand_values(self):
+        # Smith diagonal (1, 6): one unit, one entry of valuation 1 at 2 and 3
+        assert intlin.local_smith_valuations([[2, 0], [0, 3]], 2, 3) == [0, 1]
+        assert intlin.local_smith_valuations([[2, 0], [0, 3]], 3, 1) == [0]
+        assert intlin.local_smith_valuations([[4, 0], [0, 8]], 2, 3) == [2]
+        assert intlin.local_smith_valuations([[5, 10], [15, 20]], 7, 2) == [0, 0]
+
+    def test_empty_and_zero(self):
+        assert intlin.local_smith_valuations(np.zeros((0, 3), dtype=np.int64), 2, 2) == []
+        assert intlin.local_smith_valuations(np.zeros((4, 0), dtype=np.int64), 2, 2) == []
+        assert intlin.local_smith_valuations(np.zeros((3, 3), dtype=np.int64), 3, 4) == []
+
+    def test_object_input(self):
+        # Smith diagonal (2^5, 3 * 10^30); entries beyond int64 are reduced first
+        M = np.array([[10**30, 0], [0, 96]], dtype=object)
+        assert intlin.local_smith_valuations(M, 2, 20) == [5]
+        assert intlin.local_smith_valuations(M, 3, 10) == [0, 1]
+        assert intlin.local_smith_valuations(M, 5, 8) == [0]
+
+    def test_rejects_bad_modulus(self):
+        for p, k in ((4, 2), (1, 1), (0, 3), (2, 0), (2, 32), (3, 21)):
+            with pytest.raises(ValueError):
+                intlin.local_smith_valuations([[1]], p, k)
+        assert intlin.local_smith_valuations([[2]], 2, 31) == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.sampled_from([2, 3, 5]),
+        st.integers(1, 4),
+        st.integers(0, 2**32),
+    )
+    def test_matches_smith_diagonal(self, r, c, p, k, seed):
+        rng = np.random.default_rng(seed)
+        # entries rich in powers of p, with whole rows and columns zeroed
+        A = rng.integers(-4, 5, size=(r, c)) * p ** rng.integers(0, 3, size=(r, c))
+        A[rng.random(r) < 0.2, :] = 0
+        A[:, rng.random(c) < 0.2] = 0
+        diag = [d for d in intlin.smith_diagonal(A) if d != 0]
+        want = sorted(v for v in (_valuation(d, p) for d in diag) if v < k)
+        assert intlin.local_smith_valuations(A, p, k) == want
+
+
 class TestHermiteForm:
     def test_kernel_of_difference(self):
         K = intlin.kernel_basis([[1, -1]])
