@@ -215,11 +215,12 @@ def _distinct_columns(d3: np.ndarray) -> np.ndarray:
     """The nonzero columns of d3, each once: the others add nothing to the
     image.  Columns are compared as int8 byte strings (entries are in
     [-4, 4]), in order of first occurrence."""
-    d3 = d3[:, np.any(d3, axis=0)]
-    rows = np.ascontiguousarray(d3.T, dtype=np.int8)
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    cols = np.ascontiguousarray(d3.T, dtype=np.int8)
+    nonzero = np.flatnonzero(cols.any(axis=1))
+    cols = cols[nonzero]
+    keys = cols.view(np.dtype((np.void, cols.shape[1]))).ravel()
     _, first = np.unique(keys, return_index=True)
-    return d3[:, np.sort(first)]
+    return d3[:, nonzero[np.sort(first)]]
 
 
 def h2(G: FiniteGroup) -> intlin.AbelianInvariants:

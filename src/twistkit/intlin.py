@@ -122,7 +122,7 @@ def local_smith_valuations(M, p: int, k: int) -> list[int]:
     A = np.asarray(np.mod(as_int_matrix(M), q), dtype=np.int64)
     vals: list[int] = []
     for t in range(k):
-        A = A[np.any(A, axis=1)][:, np.any(A, axis=0)]
+        A = A[np.ix_(np.any(A, axis=1), np.any(A, axis=0))]
         if A.size == 0:
             break
         # one column sweep: once a column has no unit among the live rows,

@@ -37,13 +37,21 @@ EIG_GAP = 1e-6
 MAX_RETRIES = 8
 CROSSED_CAP = 4096
 
-# pair-product checks run in full below this basis size, sampled above
-_FULL_CHECK_LIMIT = 48
+# the closure check forms all n^2 pair products while that stack holds at
+# most this many entries (n^2 D^2), and _SAMPLED_PAIRS random pairs above it
+_PAIR_STACK_LIMIT = 4_000_000
 _SAMPLED_PAIRS = 1024
 
 
 def _phase(angle) -> complex:
     return np.exp(2j * np.pi * float(angle))
+
+
+def _pair_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Every product X[i] @ Y[j] of two stacks of D x D matrices as one GEMM,
+    indexed (i, a, j, c) for entry (a, c) of X[i] @ Y[j]."""
+    D = X.shape[-1]
+    return (X.reshape(-1, D) @ Y.transpose(1, 0, 2).reshape(D, -1)).reshape(len(X), D, len(Y), D)
 
 
 class StarAlgebra:
@@ -67,11 +75,13 @@ class StarAlgebra:
         if self.trace_vector.shape != (self.dim,):
             raise ValueError("trace vector length must match the basis")
         flat = basis.reshape(self.dim, -1).T  # (D^2, n)
-        sv = np.linalg.svd(flat, compute_uv=False)
+        # one SVD serves the independence test and the pseudo-inverse
+        U, sv, Vh = np.linalg.svd(flat, full_matrices=False)
         if sv[-1] <= sv[0] * 1e-10:
             raise ValueError("basis matrices are linearly dependent")
         self._flat = flat
-        self._pinv = np.linalg.pinv(flat)
+        self._pinv = (Vh.conj().T / sv) @ U.conj().T
+        del U  # as large as the basis, and the closure check below is the peak
         self.unit_coords = self._find_unit()
         if check:
             self._check_closure()
@@ -79,8 +89,9 @@ class StarAlgebra:
     # -- coordinates -------------------------------------------------------
 
     def element(self, coords) -> np.ndarray:
+        """sum_i c_i b_i; a stack (..., n) of coordinates gives (..., D, D)."""
         c = np.asarray(coords, dtype=np.complex128)
-        return np.einsum("i,iab->ab", c, self.basis)
+        return (c @ self.basis.reshape(self.dim, -1)).reshape(*c.shape[:-1], self.rep_dim, self.rep_dim)
 
     def coords_batch(self, mats: np.ndarray, tol: float = TOL) -> np.ndarray:
         """Coordinates of a stack (k, D, D); raises if any falls off the span."""
@@ -108,15 +119,16 @@ class StarAlgebra:
     # -- validation --------------------------------------------------------
 
     def _check_closure(self):
-        n = self.dim
-        if n * n * self.rep_dim**2 <= 4_000_000:
-            pairs = [(i, j) for i in range(n) for j in range(n)]
+        n, D = self.dim, self.rep_dim
+        full = n * n * D * D <= _PAIR_STACK_LIMIT
+        if full:  # pair (i, j) at i * n + j
+            prods = _pair_products(self.basis, self.basis).transpose(0, 2, 1, 3).reshape(n * n, D, D)
         else:
             rng = np.random.default_rng(12345 + n)
-            pairs = list(zip(rng.integers(0, n, _SAMPLED_PAIRS), rng.integers(0, n, _SAMPLED_PAIRS)))
-        li = np.array([p[0] for p in pairs])
-        rj = np.array([p[1] for p in pairs])
-        prods = np.einsum("kab,kbc->kac", self.basis[li], self.basis[rj])
+            li, rj = rng.integers(0, n, _SAMPLED_PAIRS), rng.integers(0, n, _SAMPLED_PAIRS)
+            prods = np.empty((_SAMPLED_PAIRS, D, D), dtype=np.complex128)
+            for k, (i, j) in enumerate(zip(li, rj)):  # no gathered copies of the factors
+                np.matmul(self.basis[i], self.basis[j], out=prods[k])
         prod_coords = self.coords_batch(prods)  # raises if not closed
         adj = np.conj(np.transpose(self.basis, (0, 2, 1)))
         adj_coords = self.coords_batch(adj)
@@ -124,7 +136,7 @@ class StarAlgebra:
             one = self.trace(self.unit_coords)
             if abs(one - 1.0) > 1e-6:
                 raise ValueError(f"trace of the unit is {one:.6f}, expected 1")
-            if len(pairs) == n * n:
+            if full:
                 # Gram matrix tau(b_i* b_j) must be positive semidefinite
                 prod_map = prod_coords.reshape(n, n, n)
                 pair_traces = prod_map @ self.trace_vector  # (n, n): tau(b_c b_j)
@@ -132,10 +144,6 @@ class StarAlgebra:
                 w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
                 if w.min() < -1e-7:
                     raise ValueError("trace is not positive on the basis Gram matrix")
-
-    def adjoint_coords(self, coords) -> np.ndarray:
-        adj = self.element(coords).conj().T
-        return self.coords(adj)
 
 
 def scalar_algebra() -> StarAlgebra:
@@ -234,21 +242,24 @@ def _random_self_adjoint(A: StarAlgebra, span: np.ndarray, rng) -> np.ndarray:
     return M + M.conj().T
 
 
+def _commutators(A: StarAlgebra, t: np.ndarray) -> np.ndarray:
+    """(D^2, n) matrix whose column i is the flattened commutator [b_i, t]."""
+    n, D = A.dim, A.rep_dim
+    comm = _pair_products(A.basis, t[None]).reshape(n, D, D)  # b_i t
+    comm -= _pair_products(t[None], A.basis).reshape(D, n, D).transpose(1, 0, 2)  # t b_i
+    return comm.reshape(n, D * D).T
+
+
 def _center_coords(A: StarAlgebra, rng) -> np.ndarray:
     """Coordinate basis of the center, found as the joint commutant of two
     random self-adjoint elements and then verified against every basis
     element (the joint commutant can only be too big, never too small)."""
-    n, D = A.dim, A.rep_dim
-    full = np.eye(n, dtype=np.complex128)
+    full = np.eye(A.dim, dtype=np.complex128)
     a = _random_self_adjoint(A, full, rng)
     b = _random_self_adjoint(A, full, rng)
-    rows = []
-    for t in (a, b):
-        comm = np.einsum("iab,bc->iac", A.basis, t) - np.einsum("ab,ibc->iac", t, A.basis)
-        rows.append(comm.reshape(n, D * D))
-    K = np.concatenate(rows, axis=1).T  # (2 D^2, n); want c with K @ c = 0
-    # K has at least n rows, so the economy Vh already spans all of C^n
-    _, s, Vh = np.linalg.svd(K, full_matrices=False)
+    # want c with sum_i c_i [b_i, a] = sum_i c_i [b_i, b] = 0; the stacked (2 D^2, n)
+    # matrix has at least n rows, so the economy Vh already spans all of C^n
+    s, Vh = np.linalg.svd(np.vstack([_commutators(A, a), _commutators(A, b)]), full_matrices=False)[1:]
     if s.size == 0 or s[0] < 1e-12:
         Z = full
     else:
@@ -257,11 +268,11 @@ def _center_coords(A: StarAlgebra, rng) -> np.ndarray:
     if Z.shape[1] == 0:
         raise _Unstable("empty commutant, degenerate draw")
     # verify: every candidate center element commutes with the whole basis
-    zmats = np.einsum("nk,nab->kab", Z, A.basis)
-    lhs = np.einsum("iab,kbc->ikac", A.basis, zmats)
-    rhs = np.einsum("kab,ibc->ikac", zmats, A.basis)
+    zmats = A.element(Z.T)
+    comm = _pair_products(A.basis, zmats)  # (i, a, k, c): b_i z_k
+    comm -= _pair_products(zmats, A.basis).transpose(2, 1, 0, 3)  # z_k b_i, same layout
     scale = max(1.0, float(np.abs(zmats).max()))
-    if np.abs(lhs - rhs).max() > TOL * scale:
+    if np.abs(comm).max() > TOL * scale:
         raise _Unstable("joint commutant exceeds the center")
     return Z
 
@@ -275,7 +286,7 @@ def block_profile(A: StarAlgebra, seed: int = 0) -> BlockProfile:
     an idempotent map.  Collisions or rank drift trigger a retry with fresh
     randomness, and MAX_RETRIES failures raise DecompositionUnstableError.
     """
-    n = A.dim
+    n, D = A.dim, A.rep_dim
     rng = np.random.default_rng(seed)
     last = "no attempts ran"
     for _ in range(MAX_RETRIES):
@@ -291,7 +302,7 @@ def block_profile(A: StarAlgebra, seed: int = 0) -> BlockProfile:
             dims = []
             for lo, hi in zip(bounds, bounds[1:]):
                 P = V[:, lo:hi] @ V[:, lo:hi].conj().T
-                moved = np.einsum("ab,ibc->iac", P, A.basis)
+                moved = _pair_products(P[None], A.basis).reshape(D, n, D).transpose(1, 0, 2)
                 cmat = A.coords_batch(moved)  # (n, n), row i = coords(P b_i)
                 tr = np.trace(cmat)
                 rank = int(round(tr.real))
@@ -338,58 +349,50 @@ class TwistedSystem:
         if check:
             self._validate()
 
-    def omega_matrix(self, s: int, t: int) -> np.ndarray:
-        return self.algebra.element(self.omega[s, t])
-
     def _validate(self):
         A, F = self.algebra, self.group
         f, n = F.order, A.dim
         unit = A.unit_coords
         if np.abs(self.alpha[0] - np.eye(n)).max() > TOL:
             raise VerificationError("alpha at the identity is not the identity map")
+        if np.abs(self.omega[:, 0] - unit).max() > TOL or np.abs(self.omega[0] - unit).max() > TOL:
+            raise VerificationError("omega is not the unit along the identity row/column")
+        D, mul = A.rep_dim, F.table
+        wmats = A.element(self.omega)  # (f, f, D, D)
+        wadj = wmats.conj().swapaxes(-1, -2)
+        _fail_first(np.abs(wmats @ wadj - np.eye(D)).max(axis=(-2, -1)), "omega({},{}) is not unitary")
+        amats = A.element(self.alpha.swapaxes(1, 2))  # amats[g, i] = alpha_g(b_i)
+        # alpha_s alpha_t = Ad(omega(s,t)) alpha_{st}, all t at once
         for s in range(f):
-            if np.abs(self.omega[s, 0] - unit).max() > TOL or np.abs(self.omega[0, s] - unit).max() > TOL:
-                raise VerificationError("omega is not the unit along the identity row/column")
-        eye = np.eye(A.rep_dim)
-        wmats = np.einsum("stn,nab->stab", self.omega, A.basis)
-        for s in range(f):
-            for t in range(f):
-                W = wmats[s, t]
-                if np.abs(W @ W.conj().T - eye).max() > TOL:
-                    raise VerificationError(f"omega({s},{t}) is not unitary")
-        # alpha_s alpha_t = Ad(omega(s,t)) alpha_{st}
-        for s in range(f):
-            for t in range(f):
-                st = F.mul(s, t)
-                W = wmats[s, t]
-                target = np.einsum("ci,cab->iab", self.alpha[st], A.basis)
-                conjd = np.einsum("ab,ibc,cd->iad", W, target, W.conj().T)
-                rhs = A.coords_batch(conjd).T
-                if np.abs(self.alpha[s] @ self.alpha[t] - rhs).max() > TOL:
-                    raise VerificationError(f"composition axiom fails at ({s},{t})")
-        # alpha_r(omega(s,t)) omega(r,st) = omega(r,s) omega(rs,t)
+            conjd = wmats[s, :, None] @ amats[mul[s]] @ wadj[s, :, None]  # (t, i, D, D)
+            rhs = A.coords_batch(conjd.reshape(f * n, D, D)).reshape(f, n, n).swapaxes(1, 2)
+            dev = np.abs(self.alpha[s] @ self.alpha - rhs).max(axis=(1, 2))
+            _fail_first(dev, f"composition axiom fails at ({s},{{}})")
+        # alpha_r(omega(s,t)) omega(r,st) = omega(r,s) omega(rs,t), all (s, t) at once
         for r in range(f):
-            for s in range(f):
-                for t in range(f):
-                    st, rs = F.mul(s, t), F.mul(r, s)
-                    lhs = A.element(self.alpha[r] @ self.omega[s, t]) @ wmats[r, st]
-                    rhs = wmats[r, s] @ wmats[rs, t]
-                    if np.abs(lhs - rhs).max() > TOL:
-                        raise VerificationError(f"cocycle axiom fails at ({r},{s},{t})")
+            lhs = A.element(self.omega @ self.alpha[r].T) @ wmats[r, mul]
+            rhs = wmats[r, :, None] @ wmats[mul[r]]
+            _fail_first(np.abs(lhs - rhs).max(axis=(-2, -1)), f"cocycle axiom fails at ({r},{{}},{{}})")
         # sampled automorphism property: multiplicative and *-preserving
         rng = np.random.default_rng(f * 1009 + n)
         count = min(n * n, 64)
         for s in range(f):
-            amats = np.einsum("ci,cab->iab", self.alpha[s], A.basis)
             for _ in range(count):
                 i, j = int(rng.integers(n)), int(rng.integers(n))
                 prod = A.coords(A.basis[i] @ A.basis[j])
-                if np.abs(A.element(self.alpha[s] @ prod) - amats[i] @ amats[j]).max() > TOL:
+                if np.abs(A.element(self.alpha[s] @ prod) - amats[s, i] @ amats[s, j]).max() > TOL:
                     raise VerificationError(f"alpha({s}) is not multiplicative")
             i = int(rng.integers(n))
             star = A.coords(A.basis[i].conj().T)
-            if np.abs(A.element(self.alpha[s] @ star) - amats[i].conj().T).max() > TOL:
+            if np.abs(A.element(self.alpha[s] @ star) - amats[s, i].conj().T).max() > TOL:
                 raise VerificationError(f"alpha({s}) does not preserve the adjoint")
+
+
+def _fail_first(dev: np.ndarray, message: str):
+    """Raise for the first index, in row-major order, where dev exceeds TOL."""
+    bad = np.argwhere(dev > TOL)
+    if len(bad):
+        raise VerificationError(message.format(*bad[0]))
 
 
 def trivial_system(A: StarAlgebra, F: FiniteGroup) -> TwistedSystem:
@@ -477,20 +480,15 @@ def crossed_product(sys: TwistedSystem) -> StarAlgebra:
     if n * f > CROSSED_CAP:
         raise ResourceCapError(f"crossed product dimension {n * f} exceeds {CROSSED_CAP}")
     Dt = D * f
-    amats = np.empty((f, n, D, D), dtype=np.complex128)
-    for g in range(f):
-        amats[g] = np.einsum("ci,cab->iab", sys.alpha[g], A.basis)
+    amats = A.element(sys.alpha.swapaxes(1, 2))  # amats[g, i] = alpha_g(b_i)
     big = np.zeros((n * f, Dt, Dt), dtype=np.complex128)
     for g in range(f):
         ginv = F.inv(g)
+        wmats = A.element(sys.omega[ginv])  # (s, D, D)
+        blk = _pair_products(amats[ginv], wmats)  # (i, a, s, c)
         for s in range(f):
             col = F.mul(F.inv(s), g)
-            w = A.element(sys.omega[ginv, s])
-            blk = amats[ginv] @ w  # (n, D, D)
-            rows = slice(g * D, (g + 1) * D)
-            cols = slice(col * D, (col + 1) * D)
-            for i in range(n):
-                big[i * f + s, rows, cols] = blk[i]
+            big[s::f, g * D : (g + 1) * D, col * D : (col + 1) * D] = blk[:, :, s]
     tr = np.zeros(n * f, dtype=np.complex128)
     tr[0 :: f] = A.trace_vector
     return StarAlgebra(big, tr, label=f"{A.label} x {F.name}")

@@ -187,6 +187,31 @@ def conjugacy_class_count(G: groups.FiniteGroup) -> int:
     return count
 
 
+def omega_regular_class_count(table, angles) -> int:
+    """Number of omega-regular conjugacy classes of a finite group, from its
+    Cayley table (identity at index 0) and the angles of a 2-cocycle
+    (omega = exp(2 pi i angle), exact rationals).
+
+    g is omega-regular when omega(g, h) = omega(h, g) for every h commuting
+    with g; the property depends only on the conjugacy class and on the
+    cohomology class of omega.  The number of such classes equals the
+    number of simple blocks of C[G, omega] (Conlon 1964).
+    """
+    tbl = np.asarray(table)
+    m = len(tbl)
+    inverse = [int(np.flatnonzero(tbl[g] == 0)[0]) for g in range(m)]
+    seen: set[int] = set()
+    count = 0
+    for g in range(m):
+        if g in seen:
+            continue
+        seen.update(int(tbl[tbl[h, g], inverse[h]]) for h in range(m))
+        commuting = [h for h in range(m) if tbl[g, h] == tbl[h, g]]
+        if all((angles[g][h] - angles[h][g]) % 1 == 0 for h in commuting):
+            count += 1
+    return count
+
+
 def character_degrees(G: groups.FiniteGroup) -> tuple[int, ...]:
     """Irreducible representation degrees, derived without any algebra
     machinery: the class count fixes how many degrees there are, the

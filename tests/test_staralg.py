@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from instances import imprimitivity_instance, random_coboundary, stabilization_instance
-from oracles import character_degrees
+from oracles import character_degrees, conjugacy_class_count, omega_regular_class_count
 
 from twistkit.cocycles import (
     Cochain1,
     coboundary,
     klein_bicharacter,
     multiply,
+    sigma_chi,
+    subgroup_characters,
     trivial_cocycle,
 )
 from twistkit.errors import (
@@ -32,6 +34,7 @@ from twistkit.groups import (
     symmetric,
 )
 from twistkit.staralg import (
+    _PAIR_STACK_LIMIT,
     BlockProfile,
     StarAlgebra,
     TwistedSystem,
@@ -83,6 +86,30 @@ class TestStarAlgebra:
         b[1, 0, 1] = 1
         with pytest.raises(ValueError):
             StarAlgebra(b, np.array([1.0, 0.0]))
+
+    def test_product_escape_rejected(self):
+        # {1, E12, E21} is closed under adjoint, but E12 E21 = E11 leaves the span
+        b = np.zeros((3, 2, 2), dtype=complex)
+        b[0] = np.eye(2)
+        b[1, 0, 1] = 1
+        b[2, 1, 0] = 1
+        assert 3 * 3 * 2 * 2 <= _PAIR_STACK_LIMIT  # every pair is checked
+        with pytest.raises(ValueError, match="outside the algebra span"):
+            StarAlgebra(b, np.array([1.0, 0.0, 0.0]))
+
+    def test_product_escape_rejected_when_sampled(self):
+        # 64 random Hermitian 32 x 32 matrices: closed under adjoint, but
+        # no product of two of them lies in their span
+        n, D = 64, 32
+        assert n * n * D * D > _PAIR_STACK_LIMIT  # only sampled pairs are checked
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((n, D, D)) + 1j * rng.standard_normal((n, D, D))
+        with pytest.raises(ValueError, match="outside the algebra span"):
+            StarAlgebra(m + m.conj().transpose(0, 2, 1), np.zeros(n))
+        # a closed algebra in the sampled regime is accepted
+        d = 13
+        assert d**6 > _PAIR_STACK_LIMIT
+        assert matrix_algebra(d).dim == d * d
 
     def test_coords_round_trip_and_escape(self):
         A = matrix_algebra(2)
@@ -162,6 +189,24 @@ class TestTwistedGroupAlgebra:
         with pytest.raises(ValueError):
             twisted_group_algebra(cyclic(4), trivial_cocycle(cyclic(3)))
 
+    def test_block_count_is_omega_regular_class_count(self):
+        # Conlon: C[G, omega] has one simple block per omega-regular class
+        cases = [(klein(), klein_bicharacter())]
+        for G in (dihedral(4), quaternion8()):
+            N = center(G)
+            cases += [(sig.group, sig) for sig in (sigma_chi(G, N, chi) for chi in subgroup_characters(N))]
+        counts = []
+        for G, omega in cases:
+            expected = omega_regular_class_count(G.table, omega.angles)
+            assert len(block_profile(twisted_group_algebra(G, omega)).blocks) == expected, G.name
+            counts.append(expected)
+        assert counts == [1, 4, 1, 4, 1]
+
+    def test_omega_regular_count_of_trivial_cocycle_is_class_count(self):
+        for G in (symmetric(3), dihedral(4), quaternion8(), cyclic(6)):
+            angles = trivial_cocycle(G).angles
+            assert omega_regular_class_count(G.table, angles) == conjugacy_class_count(G), G.name
+
 
 class TestTwistedSystem:
     def test_trivial_system_valid(self):
@@ -197,6 +242,23 @@ class TestTwistedSystem:
         omega2[1, 1, 0] = 0.5  # not unitary
         with pytest.raises(VerificationError):
             TwistedSystem(A, C2, alpha, omega2)
+
+    def test_composition_axiom_failure_located(self):
+        # alpha_s = Ad(diag(1, i^s)) on M2 over C3 with unit cocycle:
+        # alpha_1 alpha_1 = alpha_2, but alpha_1 alpha_2 = Ad(diag(1, -i)) != alpha_0
+        A, C3 = matrix_algebra(2), cyclic(3)
+        alpha = np.array([np.diag([1, np.conj(u), u, 1]) for u in (1, 1j, -1)], dtype=complex)
+        omega = np.broadcast_to(A.unit_coords, (3, 3, 4)).copy()
+        with pytest.raises(VerificationError, match=r"composition axiom fails at \(1,2\)"):
+            TwistedSystem(A, C3, alpha, omega)
+
+    def test_cocycle_axiom_failure_located(self):
+        # unitary scalars on C3, unit on the axes, omega(1,1) = e^{0.3i}: the
+        # cocycle identity first fails at (r,s,t) = (1,1,2)
+        omega = np.ones((3, 3, 1), dtype=complex)
+        omega[1, 1, 0] = np.exp(0.3j)
+        with pytest.raises(VerificationError, match=r"cocycle axiom fails at \(1,1,2\)"):
+            TwistedSystem(scalar_algebra(), cyclic(3), np.ones((3, 1, 1)), omega)
 
     def test_scalar_system_from_cocycle(self):
         sys = scalar_system(klein(), klein_bicharacter())
