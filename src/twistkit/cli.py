@@ -4,7 +4,10 @@ Thirteen subcommands expose the toolkit: h2, h1, extend, classify, twist,
 fibers, crossed, imprimitivity, stabilize, hirsch, bound, verdict, witness.
 Each prints one canonical JSON document to stdout (sorted keys, compact
 separators, trailing newline) and human-readable derivation notes to
-stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.
+stderr.  Exit codes: 0 success, 1 domain error (bad input, a failed check
+or a resource cap; one "error:" line on stderr), 2 usage error, 3 internal
+error (an unexpected exception, reported as one "internal error:" line
+without a traceback).
 
 Groups are addressed as builtin names with optional parameters (klein,
 cyclic:12, dihedral:4) or as @path to a JSON document; cocycles as trivial,
@@ -358,9 +361,12 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         doc, notes = args.handler(args)
         text = _dumps(doc)
-    except (TwistkitError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (TwistkitError, ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
+    except Exception as exc:  # a bug, not bad input: one line, no traceback
+        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     for line in notes:
         err.write(line + "\n")
     out.write(text)

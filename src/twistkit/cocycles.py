@@ -359,7 +359,9 @@ def cocycle_from_json(data: dict, group: FiniteGroup | None = None) -> Cocycle2:
         group = resolve_group_string(spec) if isinstance(spec, str) else group_from_json(spec)
     raw = data["angles"]
     m = group.order
-    if not isinstance(raw, list) or len(raw) != m or any(len(r) != m for r in raw):
+    if not isinstance(raw, list) or len(raw) != m or any(
+        not isinstance(r, list) or len(r) != m for r in raw
+    ):
         raise ValueError(f'"angles" must be a {m}x{m} array')
     table = np.empty((m, m), dtype=object)
     for i in range(m):

@@ -397,14 +397,6 @@ def _card_to_json(c: float | None):
     return int(c)
 
 
-def _card_from_json(v) -> float | None:
-    if v is None:
-        return None
-    if v == "infinite":
-        return INF
-    return int(v)
-
-
 def descriptor_to_json(d: GroupDescriptor) -> dict:
     if isinstance(d, Finite):
         return {"kind": "finite", "order": d.order}
@@ -437,33 +429,74 @@ def descriptor_to_json(d: GroupDescriptor) -> dict:
     raise TypeError(f"not a descriptor: {d!r}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _field(doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"descriptor JSON of kind {doc['kind']!r} needs a {key!r} field")
+    return doc[key]
+
+
+def _int_field(doc: dict, key: str) -> int:
+    v = _field(doc, key)
+    if not _is_int(v):
+        raise ValueError(f"descriptor field {key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _card_field(doc: dict, key: str, required: bool = True) -> float | None:
+    """Inverse of _card_to_json: an integer, "infinite" (INF) or null (None)."""
+    v = _field(doc, key) if required else doc.get(key)
+    if v is None or _is_int(v):
+        return v
+    if v == "infinite":
+        return INF
+    raise ValueError(f'descriptor field {key!r} must be an integer, "infinite" or null, got {v!r}')
+
+
+def _sub(doc: dict, key: str) -> GroupDescriptor:
+    return descriptor_from_json(_field(doc, key))
+
+
 def descriptor_from_json(doc: dict) -> GroupDescriptor:
+    """Parse a descriptor document; raises ValueError naming the first
+    missing or ill-typed field."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("descriptor JSON needs a 'kind' field")
     kind = doc["kind"]
     if kind == "finite":
-        return Finite(int(doc["order"]))
+        return Finite(_int_field(doc, "order"))
     if kind == "free_abelian":
-        return FreeAbelian(int(doc["rank"]))
+        return FreeAbelian(_int_field(doc, "rank"))
     if kind == "atom":
         fl = doc.get("flags", {})
-        hirsch = _card_from_json(doc["hirsch"])
+        if not isinstance(fl, dict):
+            raise ValueError(f"descriptor field 'flags' must be an object, got {fl!r}")
+        for k in _FLAG_KEYS:
+            if not isinstance(fl.get(k), (bool, type(None))):
+                raise ValueError(f"flag {k!r} must be true, false or null, got {fl[k]!r}")
+        hirsch = _card_field(doc, "hirsch")
         if hirsch is None:
             raise ValueError("atom needs a definite hirsch value")
         return Atom(
             label=str(doc.get("label", "atom")),
             hirsch=hirsch,
-            card=_card_from_json(doc.get("card")),
+            card=_card_field(doc, "card", required=False),
             flags=Flags(**{k: fl.get(k) for k in _FLAG_KEYS}),
         )
     if kind == "ext":
-        return Extension(descriptor_from_json(doc["normal"]), descriptor_from_json(doc["quotient"]))
+        return Extension(_sub(doc, "normal"), _sub(doc, "quotient"))
     if kind == "quotient":
-        return Quotient(descriptor_from_json(doc["group"]), descriptor_from_json(doc["normal"]))
+        return Quotient(_sub(doc, "group"), _sub(doc, "normal"))
     if kind == "wreath":
-        return Wreath(descriptor_from_json(doc["base"]), descriptor_from_json(doc["top"]))
+        return Wreath(_sub(doc, "base"), _sub(doc, "top"))
     if kind == "direct_sum":
-        return DirectSum(tuple(descriptor_from_json(p) for p in doc["parts"]))
+        parts = _field(doc, "parts")
+        if not isinstance(parts, list):
+            raise ValueError(f"descriptor field 'parts' must be a list, got {parts!r}")
+        return DirectSum(tuple(descriptor_from_json(p) for p in parts))
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 

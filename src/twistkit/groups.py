@@ -20,6 +20,10 @@ from .errors import InvalidGroupError, ResourceCapError
 # only samples.
 _FULL_ASSOC_LIMIT = 600
 
+# Largest group order any construction here builds: its Cayley table is
+# the size squared in int64 entries (200 MB at this limit).
+MAX_CONSTRUCTED_ORDER = 5000
+
 
 class FiniteGroup:
     """An immutable finite group given by its Cayley table.
@@ -135,9 +139,9 @@ def group_from_json(data: dict) -> FiniteGroup:
         or any(not isinstance(v, int) for row in tbl for v in row)
     ):
         raise InvalidGroupError(f'"table" must be a {m}x{m} array of integers')
-    arr = np.array(tbl, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= m:
+    if any(not 0 <= v < m for row in tbl for v in row):
         raise InvalidGroupError('"table" entries must index elements (0-based)')
+    arr = np.array(tbl, dtype=np.int64)
     # locate the two-sided identity, then renumber it to 0
     idx = np.arange(m)
     ident = [e for e in range(m) if np.array_equal(arr[e], idx) and np.array_equal(arr[:, e], idx)]
@@ -303,8 +307,10 @@ def wreath(K: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """
     nk, nh = K.order, H.order
     total = nk**nh * nh
-    if total > 5000:
-        raise ResourceCapError(f"wreath product order {total} exceeds the supported size")
+    if total > MAX_CONSTRUCTED_ORDER:
+        raise ResourceCapError(
+            f"wreath product order {total} exceeds the limit {MAX_CONSTRUCTED_ORDER}"
+        )
 
     def decode(code):
         out = []
@@ -336,22 +342,31 @@ def wreath(K: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(tbl, name=f"{K.name or '?'} wr {H.name or '?'}")
 
 
+# name -> (constructor, arity, order implied by the parameters); None where
+# the constructor bounds its own parameter before building anything
 _BUILTINS = {
-    "cyclic": (cyclic, 1),
-    "klein": (klein, 0),
-    "dihedral": (dihedral, 1),
-    "quaternion8": (quaternion8, 0),
-    "symmetric": (symmetric, 1),
+    "cyclic": (cyclic, 1, lambda n: n),
+    "klein": (klein, 0, lambda: 4),
+    "dihedral": (dihedral, 1, lambda n: 2 * n),
+    "quaternion8": (quaternion8, 0, lambda: 8),
+    "symmetric": (symmetric, 1, None),
 }
 
 
 def builtin(name: str, *params: int) -> FiniteGroup:
-    """Construct a builtin group by name; see _BUILTINS for the arities."""
+    """Construct a builtin group by name; see _BUILTINS for the arities.
+
+    Raises ResourceCapError before any allocation when the parameters
+    imply an order above MAX_CONSTRUCTED_ORDER.
+    """
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin group {name!r}")
-    fn, arity = _BUILTINS[name]
+    fn, arity, order = _BUILTINS[name]
     if len(params) != arity:
         raise ValueError(f"builtin {name!r} takes {arity} parameter(s), got {len(params)}")
+    m = order(*params) if order else 0
+    if m > MAX_CONSTRUCTED_ORDER:
+        raise ResourceCapError(f"{name} group of order {m} exceeds the limit {MAX_CONSTRUCTED_ORDER}")
     return fn(*params)
 
 
@@ -415,6 +430,8 @@ def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     seen = {0}
     frontier = [0]
     gens = [int(g) for g in gens]
+    if any(not 0 <= g < G.order for g in gens):
+        raise InvalidGroupError(f"generator index out of range 0..{G.order - 1}")
     while frontier:
         x = frontier.pop()
         for g in gens:

@@ -3,9 +3,12 @@ forms modulo p^k, kernels, integer solves, and the invariant-factor
 calculus of finitely generated abelian groups (direct sums, Ext,
 torsion-free quotients).
 
-Matrices are 2-D numpy arrays, either int64 (fast path) or object dtype
-holding Python ints (exact path).  All results are exact; the fast path
-falls back automatically whenever an intermediate could leave int64 range.
+Matrices are 2-D numpy arrays.  The Smith and column-Hermite reductions,
+and the kernels, solves and inverses built on them, run on object-dtype
+arrays of Python ints, so no entry can overflow and every matrix they
+return has object dtype.  `exact_matmul` keeps int64 products whose
+accumulators provably fit and switches to Python ints otherwise;
+`local_smith_valuations` works modulo p^k in int64.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from . import _kernels
 from .errors import NoSolutionError
 
 
 def backend_name() -> str:
-    """Identifier of the reduction backend in use ('numba-int64' or 'numpy-object')."""
-    return _kernels.backend_name()
+    """Identifier of the reduction backend: always 'numpy-object'."""
+    return "numpy-object"
 
 
 def as_int_matrix(data) -> np.ndarray:
@@ -38,47 +40,111 @@ def as_int_matrix(data) -> np.ndarray:
     return arr
 
 
-def _identity(n: int, dtype) -> np.ndarray:
-    if dtype == object:
-        eye = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            eye[i, i] = 1
-        return eye
-    return np.eye(n, dtype=np.int64)
+def _swap_rows(M, T, i, j):
+    """Swap rows i and j of M and, unless T is None, of T."""
+    M[[i, j]] = M[[j, i]]
+    if T is not None:
+        T[[i, j]] = T[[j, i]]
 
 
-def _fits_int64(A: np.ndarray) -> bool:
-    if A.size == 0:
-        return True
-    if A.dtype == object:
-        lo = min(A.flat)
-        hi = max(A.flat)
-    else:
-        lo = int(A.min())
-        hi = int(A.max())
-    return -_kernels.INT64_SAFE <= lo and hi <= _kernels.INT64_SAFE
+def _swap_cols(M, T, i, j):
+    """Swap columns i and j of M and, unless T is None, of T."""
+    M[:, [i, j]] = M[:, [j, i]]
+    if T is not None:
+        T[:, [i, j]] = T[:, [j, i]]
+
+
+def _snf_core(D, U, V):
+    """Reduce D in place to Smith form; accumulate U (rows) and V (cols).
+
+    On entry U and V are identities, or None when not tracked.  Maintains
+    D = U0 @ D_in @ V0 with U0, V0 unimodular.
+    """
+    r, c = D.shape
+    t = 0
+    while t < r and t < c:
+        # First (row-major) entry of least nonzero absolute value in D[t:, t:].
+        sub = D[t:, t:]
+        absd = np.abs(sub)
+        top = np.max(absd)
+        if top == 0:
+            break
+        flat = int(np.argmin(np.where(sub != 0, absd, top + 1)))
+        pi, pj = t + flat // (c - t), t + flat % (c - t)
+        if pi != t:
+            _swap_rows(D, U, pi, t)
+        if pj != t:
+            _swap_cols(D, V, pj, t)
+        while True:
+            if D[t, t] < 0:
+                D[t, :] = -D[t, :]
+                if U is not None:
+                    U[t, :] = -U[t, :]
+            # Row ops until column t is clean below the pivot.
+            while True:
+                swapped = False
+                d = D[t, t]
+                for i in range(t + 1, r):
+                    if D[i, t] != 0:
+                        q = D[i, t] // d
+                        if q != 0:
+                            D[i, t:] -= q * D[t, t:]
+                            if U is not None:
+                                U[i, :] -= q * U[t, :]
+                        if D[i, t] != 0:
+                            # Remainder in (0, d): promote it to the pivot.
+                            _swap_rows(D, U, i, t)
+                            swapped = True
+                            break
+                if not swapped:
+                    break
+            # Column ops until row t is clean right of the pivot.  Plain
+            # column ops cannot dirty column t (its sub-pivot entries are
+            # already zero); only a column swap can.
+            col_swapped = False
+            while True:
+                swapped = False
+                d = D[t, t]
+                for j in range(t + 1, c):
+                    if D[t, j] != 0:
+                        q = D[t, j] // d
+                        if q != 0:
+                            D[:, j] -= q * D[:, t]
+                            if V is not None:
+                                V[:, j] -= q * V[:, t]
+                        if D[t, j] != 0:
+                            _swap_cols(D, V, j, t)
+                            swapped = True
+                            col_swapped = True
+                            break
+                if not swapped:
+                    break
+            if col_swapped:
+                continue
+            # Both the row and the column of the pivot are clean here.
+            # Enforce divisibility of the trailing block by the pivot: the
+            # first row holding a failing entry is mixed into row t and the
+            # phases rerun, which strictly shrinks the pivot (gcd step).
+            d = D[t, t]
+            if d > 1 and t + 1 < r and t + 1 < c:
+                failing = np.any(D[t + 1 :, t + 1 :] % d != 0, axis=1)
+                if failing.any():
+                    i = t + 1 + int(np.argmax(failing))
+                    D[t, t:] += D[i, t:]
+                    if U is not None:
+                        U[t, :] += U[i, :]
+                    continue
+            break
+        t += 1
 
 
 def _run_snf(M, track_u: bool, track_v: bool):
-    A = as_int_matrix(M)
-    r, c = A.shape
-    dummy = np.zeros((1, 1), dtype=np.int64)
-    if r == 0 or c == 0:
-        U = _identity(r, np.int64) if track_u else None
-        V = _identity(c, np.int64) if track_v else None
-        return A.astype(np.int64, copy=True) if A.dtype == object else A.copy(), U, V
-    if _kernels.fast_path_available() and _fits_int64(A):
-        D = A.astype(np.int64, copy=True)
-        U = _identity(r, np.int64) if track_u else dummy
-        V = _identity(c, np.int64) if track_v else dummy
-        status = _kernels._snf_fast(D, U, V, track_u, track_v, _kernels.INT64_SAFE)
-        if status == _kernels.OK:
-            return D, (U if track_u else None), (V if track_v else None)
-    D = A.astype(object, copy=True)
-    U = _identity(r, object) if track_u else np.zeros((1, 1), dtype=object)
-    V = _identity(c, object) if track_v else np.zeros((1, 1), dtype=object)
-    _kernels._snf_core(D, U, V, track_u, track_v, -1)
-    return D, (U if track_u else None), (V if track_v else None)
+    D = as_int_matrix(M).astype(object)
+    r, c = D.shape
+    U = np.eye(r, dtype=object) if track_u else None
+    V = np.eye(c, dtype=object) if track_v else None
+    _snf_core(D, U, V)
+    return D, U, V
 
 
 def smith_normal_form(M):
@@ -153,102 +219,89 @@ def local_smith_valuations(M, p: int, k: int) -> list[int]:
     return vals
 
 
-def _run_hnf(M, track_v: bool):
-    A = as_int_matrix(M)
-    r, c = A.shape
-    dummy = np.zeros((1, 1), dtype=np.int64)
-    if r == 0 or c == 0:
-        V = _identity(c, np.int64) if track_v else None
-        return A.copy(), V, np.zeros(0, dtype=np.int64)
-    if _kernels.fast_path_available() and _fits_int64(A):
-        H = A.astype(np.int64, copy=True)
-        V = _identity(c, np.int64) if track_v else dummy
-        pivots = np.zeros(c, dtype=np.int64)
-        status, k = _kernels._hnf_fast(H, V, pivots, track_v, _kernels.INT64_SAFE)
-        if status == _kernels.OK:
-            return H, (V if track_v else None), pivots[:k].copy()
-    H = A.astype(object, copy=True)
-    V = _identity(c, object) if track_v else np.zeros((1, 1), dtype=object)
-    pivots = np.zeros(c, dtype=np.int64)
-    _, k = _kernels._hnf_core(H, V, pivots, track_v, -1)
-    return H, (V if track_v else None), pivots[:k].copy()
+def _hnf_core(H, V) -> list[int]:
+    """Column-echelon Hermite reduction in place: H_out = H_in @ V_out,
+    with V the identity on entry.
+
+    Pivot columns come first, with strictly increasing pivot rows (the
+    returned list); pivots are positive; entries left of a pivot in its
+    row are reduced into [0, pivot).  Trailing columns are zero.
+    """
+    r, c = H.shape
+    pivot_rows: list[int] = []
+    k = 0
+    for row in range(r):
+        if k == c:
+            break
+        while True:
+            # First active column of least nonzero absolute value at this row.
+            strip = H[row, k:]
+            absd = np.abs(strip)
+            top = np.max(absd)
+            if top == 0:
+                break
+            j = k + int(np.argmin(np.where(strip != 0, absd, top + 1)))
+            if j != k:
+                _swap_cols(H, V, j, k)
+            if H[row, k] < 0:
+                H[:, k] = -H[:, k]
+                V[:, k] = -V[:, k]
+            d = H[row, k]
+            any_rem = False
+            for j in range(k + 1, c):
+                if H[row, j] != 0:
+                    q = H[row, j] // d
+                    if q != 0:
+                        H[:, j] -= q * H[:, k]
+                        V[:, j] -= q * V[:, k]
+                    if H[row, j] != 0:
+                        any_rem = True
+            if not any_rem:
+                break
+        if H[row, k] != 0:
+            d = H[row, k]
+            for l in range(k):
+                q = H[row, l] // d
+                if q != 0:
+                    H[:, l] -= q * H[:, k]
+                    V[:, l] -= q * V[:, k]
+            pivot_rows.append(row)
+            k += 1
+    return pivot_rows
 
 
 def column_hnf(M):
     """Return (H, V, pivot_rows) with H = M @ V in column-echelon Hermite
     form: positive pivots at strictly increasing rows, entries left of each
     pivot reduced into [0, pivot), trailing columns zero."""
-    return _run_hnf(M, True)
+    H = as_int_matrix(M).astype(object)
+    V = np.eye(H.shape[1], dtype=object)
+    pivots = _hnf_core(H, V)
+    return H, V, np.array(pivots, dtype=np.int64)
 
 
 def kernel_basis(M) -> np.ndarray:
     """Columns form a basis of the integer kernel lattice {x : M x = 0}."""
-    A = as_int_matrix(M)
-    _, V, pivots = _run_hnf(A, True)
+    _, V, pivots = column_hnf(M)
+    return V[:, len(pivots) :].copy()
+
+
+def _echelon_solve(H, pivots, B):
+    """Solve H[:, :k] @ Z = B for the echelon H of column_hnf by forward
+    substitution on the pivot rows.  Returns Z (k x n) or raises
+    NoSolutionError."""
+    H = np.asarray(H, dtype=object)
+    B = np.asarray(B, dtype=object)
     k = len(pivots)
-    return V[:, k:].copy()
-
-
-def _echelon_solve(H, pivots, B, check: bool = True):
-    """Solve H[:, :k] @ Z = B for the echelon H of column_hnf.
-
-    Returns Z (k x n) or raises NoSolutionError.  Exact; switches to
-    object dtype when int64 bounds cannot be certified.
-    """
-    k = len(pivots)
-    r, n = B.shape
-    use_object = H.dtype == object or B.dtype == object
-    if not use_object:
-        # One forward-substitution step computes B[p] - H[p,:i] @ Z[:i] with
-        # |dot| <= maxH * maxZ * i; certify against int64 before trusting it.
-        maxH = int(np.max(np.abs(H))) if H.size else 0
-        maxB = int(np.max(np.abs(B))) if B.size else 0
-        Z = np.zeros((k, n), dtype=np.int64)
-        maxZ = 0
-        ok = True
-        for i in range(k):
-            p = int(pivots[i])
-            bound = maxB + maxH * maxZ * max(i, 1)
-            if bound > (1 << 62):
-                ok = False
-                break
-            acc = B[p, :].astype(np.int64)
-            if i:
-                acc = acc - H[p, :i] @ Z[:i, :]
-            d = int(H[p, i])
-            q, rem = np.divmod(acc, d)
-            if np.any(rem != 0):
-                raise NoSolutionError("right-hand side outside the column lattice")
-            Z[i, :] = q
-            if q.size:
-                maxZ = max(maxZ, int(np.max(np.abs(q))))
-        if ok:
-            if check:
-                bound = maxH * maxZ * max(k, 1)
-                if bound <= (1 << 62):
-                    if not np.array_equal(H[:, :k].astype(np.int64) @ Z, B):
-                        raise NoSolutionError("right-hand side outside the column lattice")
-                    return Z
-                use_object = True
-            else:
-                return Z
-        else:
-            use_object = True
-    Ho = H.astype(object)
-    Bo = B.astype(object)
-    Z = np.zeros((k, n), dtype=object)
+    Z = np.zeros((k, B.shape[1]), dtype=object)
     for i in range(k):
         p = int(pivots[i])
-        acc = Bo[p, :] - (Ho[p, :i] @ Z[:i, :] if i else 0)
-        d = Ho[p, i]
-        q = np.empty(n, dtype=object)
-        for j in range(n):
-            qq, rr = divmod(int(acc[j]), int(d))
-            if rr != 0:
-                raise NoSolutionError("right-hand side outside the column lattice")
-            q[j] = qq
-        Z[i, :] = q
-    if check and not np.array_equal(Ho[:, :k] @ Z, Bo):
+        acc = B[p, :] - (H[p, :i] @ Z[:i, :] if i else 0)
+        d = H[p, i]
+        if np.any(acc % d != 0):
+            raise NoSolutionError("right-hand side outside the column lattice")
+        Z[i, :] = acc // d
+    if not np.array_equal(H[:, :k] @ Z, B):
         raise NoSolutionError("right-hand side outside the column lattice")
     return Z
 
@@ -265,15 +318,7 @@ def solve_batch_in_image(M, B, hnf_data=None):
         hnf_data = column_hnf(A)
     H, V, pivots = hnf_data
     Z = _echelon_solve(H, pivots, B)
-    k = len(pivots)
-    Vk = V[:, :k]
-    if Vk.dtype == object or Z.dtype == object:
-        return Vk.astype(object) @ Z.astype(object)
-    maxV = int(np.max(np.abs(Vk))) if Vk.size else 0
-    maxZ = int(np.max(np.abs(Z))) if Z.size else 0
-    if maxV * maxZ * max(k, 1) > (1 << 62):
-        return Vk.astype(object) @ Z.astype(object)
-    return Vk @ Z
+    return np.asarray(V[:, : len(pivots)], dtype=object) @ Z
 
 
 def solve_in_image(M, b):
@@ -307,23 +352,21 @@ def unimodular_inverse(Umat) -> np.ndarray:
     if n != m:
         raise ValueError("matrix is not square")
     H, V, pivots = column_hnf(A)
-    if len(pivots) != n or any(int(H[i, i]) != 1 for i in range(n)):
+    if len(pivots) != n or any(H[i, i] != 1 for i in range(n)):
         raise ValueError("matrix is not unimodular")
     # H = A @ V with H lower-triangular, unit diagonal; clear the strictly
     # lower part with further column ops to reach the identity exactly.
     # Ascending rows: clearing row i with column i only dirties rows > i,
     # which later passes clean.
-    Ho = H.astype(object)
-    Vo = V.astype(object)
     for i in range(1, n):
         for j in range(i):
-            q = Ho[i, j]
+            q = H[i, j]
             if q != 0:
-                Ho[:, j] -= q * Ho[:, i]
-                Vo[:, j] -= q * Vo[:, i]
-    if not np.array_equal(Ho, _identity(n, object)):
+                H[:, j] -= q * H[:, i]
+                V[:, j] -= q * V[:, i]
+    if not np.array_equal(H, np.eye(n, dtype=object)):
         raise ValueError("matrix is not unimodular")
-    return Vo
+    return V
 
 
 @dataclass(frozen=True)

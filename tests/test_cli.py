@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistkit
+from twistkit import cli
 from twistkit.cli import load_descriptor, load_group, load_subgroup, run
 from twistkit.descriptors import Finite, FreeAbelian, Zinv
 from twistkit.groups import klein, quaternion8
@@ -194,6 +195,33 @@ class TestErrors:
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+    def test_huge_builtin_parameter_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistkit.cli", "h1", "--group", "cyclic:1000000000000"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and "5000" in proc.stderr
+
+    def test_descriptor_missing_field_is_domain_error(self):
+        code, out, err = invoke("hirsch", "--descriptor", '{"kind":"finite"}')
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "'order'" in err
+
+    def test_internal_error_exit_3(self, monkeypatch):
+        def broken(args):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "_cmd_h1", broken)
+        code, out, err = invoke("h1", "--group", "klein")
+        assert code == 3 and out == ""
+        assert err == "internal error: KeyError: 'missing'\n"
+        assert "Traceback" not in err
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -372,5 +372,8 @@ class TestShippedAndJson:
             cocycle_from_json({"group": "klein", "angles": [["0"] * 4] * 3})
         with pytest.raises(ValueError):
             cocycle_from_json({"group": "cyclic:2", "angles": [["0", "x"], ["0", "0"]]})
+        for rows in ([5, 6], ["00", "00"], {"a": 1}):  # rows that are not lists
+            with pytest.raises(ValueError, match="angles"):
+                cocycle_from_json({"group": "cyclic:2", "angles": rows})
         with pytest.raises(IdentityViolationError):
             cocycle_from_json({"group": "cyclic:2", "angles": [["0", "1/3"], ["0", "0"]]})

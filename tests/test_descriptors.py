@@ -231,6 +231,30 @@ class TestSerialization:
         with pytest.raises(ValueError):
             descriptor_from_json({"kind": "atom", "label": "x", "hirsch": None})
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"kind": "finite"}, "order"),
+            ({"kind": "finite", "order": [5]}, "order"),
+            ({"kind": "finite", "order": "5"}, "order"),
+            ({"kind": "free_abelian", "rank": None}, "rank"),
+            ({"kind": "atom"}, "hirsch"),
+            ({"kind": "atom", "hirsch": {"a": 1}}, "hirsch"),
+            ({"kind": "atom", "hirsch": float("inf")}, "hirsch"),
+            ({"kind": "atom", "hirsch": 1, "card": [2]}, "card"),
+            ({"kind": "atom", "hirsch": 1, "flags": 3}, "flags"),
+            ({"kind": "atom", "hirsch": 1, "flags": {"virt_nilpotent": 1}}, "virt_nilpotent"),
+            ({"kind": "ext", "normal": {"kind": "finite", "order": 2}}, "quotient"),
+            ({"kind": "quotient", "normal": {"kind": "finite", "order": 2}}, "group"),
+            ({"kind": "wreath", "top": {"kind": "finite", "order": 2}}, "base"),
+            ({"kind": "direct_sum"}, "parts"),
+            ({"kind": "direct_sum", "parts": 5}, "parts"),
+        ],
+    )
+    def test_bad_fields_name_the_field(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            descriptor_from_json(doc)
+
     def test_invalid_nodes(self):
         with pytest.raises(ValueError):
             Finite(0)

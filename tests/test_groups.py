@@ -86,6 +86,18 @@ class TestConstruction:
         with pytest.raises(ResourceCapError):
             groups.wreath(groups.cyclic(2), groups.dihedral(6))
 
+    def test_builtin_order_cap_before_construction(self):
+        # the orders implied by the parameters are one past the cap
+        for spec in ("cyclic:5001", "dihedral:2501", "cyclic:1000000000000"):
+            with pytest.raises(ResourceCapError):
+                groups.resolve_group_string(spec)
+        assert groups.resolve_group_string("dihedral:3").order == 6
+
+    def test_generator_out_of_range(self):
+        for gens in ([4], [-1], [1, 9]):
+            with pytest.raises(InvalidGroupError):
+                groups.generated_subgroup(groups.klein(), gens)
+
     def test_semidirect_gives_dihedral(self):
         twisted = groups.semidirect(
             groups.cyclic(4), groups.cyclic(2), _inversion_action(groups.cyclic(4), groups.cyclic(2))
@@ -315,3 +327,5 @@ class TestJson:
             groups.group_from_json({"order": 2, "table": [[0, 1], [0, 1]]})
         with pytest.raises(InvalidGroupError):
             groups.group_from_json({"order": "2", "table": [[0, 1], [1, 0]]})
+        with pytest.raises(InvalidGroupError):  # beyond int64, not only beyond the order
+            groups.group_from_json({"order": 2, "table": [[0, 1], [1, 10**30]]})
