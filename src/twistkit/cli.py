@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,9 +71,26 @@ def _dumps(doc) -> str:
     return json.dumps(_pyify(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# descriptor parsing recurses two Python frames per nesting level, so under
+# the default recursion limit of 1000 a descriptor 495 levels deep is the
+# deepest that evaluates from the command line; 490 leaves a few frames spare
+_JSON_DEPTH_CAP = 490
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+
+
+def _parse_json(text: str):
+    """json.loads behind a nesting-depth check made on the text itself, so a
+    deep document is a domain error before any recursive work starts."""
+    brackets = re.findall(r"[\[\]{}]", _JSON_STRING.sub("", text))
+    depth = max(accumulate(1 if b in "[{" else -1 for b in brackets), default=0)
+    if depth > _JSON_DEPTH_CAP:
+        raise ValueError(f"JSON nested {depth} levels deep; the limit is {_JSON_DEPTH_CAP}")
+    return json.loads(text)
+
+
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh.read())
 
 
 def load_group(spec: str) -> FiniteGroup:
@@ -102,7 +121,7 @@ def load_descriptor(spec: str) -> dsc.GroupDescriptor:
     if spec.startswith("@"):
         return dsc.descriptor_from_json(_read_json(spec[1:]))
     if spec.startswith("{"):
-        return dsc.descriptor_from_json(json.loads(spec))
+        return dsc.descriptor_from_json(_parse_json(spec))
     if spec == "Z":
         return dsc.FreeAbelian(1)
     if spec.startswith("Z^"):
@@ -220,14 +239,26 @@ def _cmd_hirsch(args):
     return doc, dsc.derivation_lines(d)
 
 
-# f(92) has 4226 decimal digits; f(93) exceeds Python's default limit of
-# 4300 digits for converting an int to a string
+# Python converts an int of at most 4300 decimal digits to a string (the
+# default of sys.set_int_max_str_digits); every printed bound stays within it
+_PRINT_DIGITS = 4300
+# f(92) has 4226 decimal digits; f(93) has more than 4300
 _F_ARG_CAP = 92
+# 3^9012 has 4300 digits (9012 log10 3 = 4299.8); 3^9013 has 4301
+_NILPOTENT_K_CAP = 9012
+# 2 * 9^4505 has 4300 digits (log10 2 + 4505 log10 9 = 4299.2); 2 * 9^4506 has 4301
+_WREATH_K_CAP = 4505
 
 
-def _check_f_argument(n: int) -> None:
-    if n > _F_ARG_CAP:
-        raise ValueError(f"f(n) is printed for n <= {_F_ARG_CAP} only, got n = {n}")
+def _check_argument(name: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"{name} is printed for n <= {cap} only, got n = {n}")
+
+
+def _check_printable(value: int) -> int:
+    if abs(value) >= 10**_PRINT_DIGITS:
+        raise ValueError(f"the bound has more than {_PRINT_DIGITS} decimal digits")
+    return value
 
 
 def _cmd_bound(args):
@@ -242,21 +273,23 @@ def _cmd_bound(args):
         raise ValueError("pick exactly one of --f, --twisted, --hw, --nilpotent, --wreath-finite-k")
     if args.f is not None:
         n = args.f
-        _check_f_argument(n)
+        _check_argument("f(n)", n, _F_ARG_CAP)
         val = bnd.f_bound(n)
         return val, [f"f({n}) by recursion; closed form agrees: {bnd.f_closed_form(n) == val}"]
     if args.twisted is not None:
         hg, hh2 = args.twisted
-        _check_f_argument(hg + hh2)
+        _check_argument("f(n)", hg + hh2, _F_ARG_CAP)
         return bnd.twisted_bound(hg, hh2), [f"f({hg} + {hh2})"]
     if args.hw is not None:
         a, l, d = args.hw
-        return bnd.hw_product_bound(a, l, d), [f"{a} * {l} * ({d}+1) - 1"]
+        return _check_printable(bnd.hw_product_bound(a, l, d)), [f"{a} * {l} * ({d}+1) - 1"]
     if args.nilpotent is not None:
         k, dimx = args.nilpotent
+        _check_argument("3^n", k, _NILPOTENT_K_CAP)
         pair = bnd.nilpotent_input_bounds(k, dimx)
-        return list(pair), [f"(3^{k}, 3^{k} * ({dimx}+1))"]
+        return [_check_printable(v) for v in pair], [f"(3^{k}, 3^{k} * ({dimx}+1))"]
     k = args.wreath_finite_k
+    _check_argument("2 * 9^n", k, _WREATH_K_CAP)
     return bnd.wreath_bound_finite_K(k), [f"2 * 9^{k}"]
 
 

@@ -1,17 +1,20 @@
 """Circle-valued 2-cocycles on finite groups with exact rational angles.
 
-A value e^(2 pi i a) is stored as the reduced fraction a in [0, 1), so the
-cocycle identity, coboundary tests, and class comparisons are decided
-exactly.  The flat C2 ordering (pair (i, j) at index i*m + j) matches the
-bar-complex basis in the homology module, which is what makes the pairing
-with representative 2-cycles meaningful.
+A value e^(2 pi i a) has a rational angle a in [0, 1).  A cocycle stores
+all of its angles over one denominator: an int64 numerator table num and
+an int q, in lowest terms with 0 <= num < q, so the cocycle identity,
+coboundary tests and class comparisons are exact integer arithmetic mod q.
+The common denominator is at most MAX_DENOMINATOR = 2**52; a larger one is
+a ValueError.  The flat C2 ordering (pair (i, j) at index i*m + j) matches
+the bar-complex basis in the homology module, which is what makes the
+pairing with representative 2-cycles meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -19,80 +22,79 @@ from .errors import IdentityViolationError, InvalidGroupError
 from .groups import FiniteGroup, Subgroup, klein
 from .homology import Character, SplittingData, H2Presentation, build_chain, h2_presentation
 
-_INT_CHECK_LIMIT = 1 << 31
+# with q <= 2**52 a sum of two numerators is below 2**53, so it converts to
+# float64 exactly and a phase e^(2 pi i num/q) rounds exactly as the
+# Fraction angle does; 3q also fits int64 for the identity check
+MAX_DENOMINATOR = 2**52
 
 
 def _as_angle(value) -> Fraction:
     return Fraction(value) % 1
 
 
-def _angle_table(group: FiniteGroup, raw) -> np.ndarray:
-    m = group.order
-    arr = np.asarray(raw, dtype=object)
-    if arr.shape != (m, m):
-        raise ValueError(f"angle table must be {m}x{m}, got {arr.shape}")
-    out = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = _as_angle(arr[i, j])
-    return out
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Cocycle2:
-    """A validated T-valued 2-cocycle; angles[i, j] is the angle of
-    omega(g_i, g_j).  Construction runs the exact identity check over all
-    triples and raises IdentityViolationError with a witness otherwise."""
+    """A validated T-valued 2-cocycle: omega(g_i, g_j) has angle
+    num[i, j] / q.  Construction runs the exact identity check over all
+    triples and raises IdentityViolationError with a witness otherwise.
+
+    Cocycle2(group, table) takes an (m, m) table of rationals;
+    Cocycle2(group, numerators, q) takes integer numerators over q."""
 
     group: FiniteGroup
-    angles: np.ndarray
+    num: np.ndarray
+    q: int
 
-    def __post_init__(self):
-        table = _angle_table(self.group, self.angles)
-        table.setflags(write=False)
-        object.__setattr__(self, "angles", table)
-        _check_identity(self.group, table)
+    def __init__(self, group: FiniteGroup, angles, q: int | None = None):
+        m = group.order
+        if q is None:  # the input boundary: a table of rationals
+            table = np.asarray(angles, dtype=object)
+            if table.shape != (m, m):
+                raise ValueError(f"angle table must be {m}x{m}, got {table.shape}")
+            fracs = [Fraction(a) for a in table.flat]
+            q = lcm(*(f.denominator for f in fracs))
+            angles = [f.numerator * (q // f.denominator) % q for f in fracs]
+        if q > MAX_DENOMINATOR:
+            raise ValueError(
+                f"the angles need a common denominator of {q.bit_length()} bits, "
+                f"above MAX_DENOMINATOR = 2**52"
+            )
+        num = np.mod(np.asarray(angles, dtype=np.int64).reshape(m, m), q)
+        common = gcd(q, int(np.gcd.reduce(num, axis=None)))
+        num //= common
+        num.setflags(write=False)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "q", q // common)
+        _check_identity(group, num, self.q)
+
+    @property
+    def angles(self) -> np.ndarray:
+        """The reduced Fraction angles as a read-only (m, m) object array,
+        derived from num / q on each access."""
+        out = np.array([Fraction(n, self.q) for n in self.num.ravel().tolist()], dtype=object)
+        out = out.reshape(self.num.shape)
+        out.setflags(write=False)
+        return out
 
     def angle(self, i: int, j: int) -> Fraction:
-        return self.angles[i, j]
-
-    def flat(self) -> np.ndarray:
-        """Angles over the flat pair basis, aligned with the bar complex."""
-        return self.angles.reshape(-1)
+        return Fraction(int(self.num[i, j]), self.q)
 
     def is_trivial_table(self) -> bool:
-        return not any(a for a in self.angles.flat)
+        return not self.num.any()
 
     def to_json(self) -> dict:
         return {
             "group": self.group.to_json(),
-            "angles": [[str(a) for a in row] for row in self.angles],
+            "angles": [[str(Fraction(n, self.q)) for n in row] for row in self.num.tolist()],
         }
 
 
-def _check_identity(G: FiniteGroup, table: np.ndarray):
-    m = G.order
+def _check_identity(G: FiniteGroup, num: np.ndarray, q: int):
     tbl = G.table
-    denoms = lcm(*(a.denominator for a in table.flat)) if table.size else 1
-    if denoms <= _INT_CHECK_LIMIT:
-        A = np.empty((m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                a = table[i, j]
-                A[i, j] = a.numerator * (denoms // a.denominator)
-        lhs = A[:, tbl] + A[None, :, :]
-        rhs = A[tbl, :] + A[:, :, None]
-        bad = np.argwhere((lhs - rhs) % denoms != 0)
-    else:
-        bad = []
-        for g1 in range(m):
-            for g2 in range(m):
-                for g3 in range(m):
-                    l = table[g1, tbl[g2, g3]] + table[g2, g3]
-                    r = table[tbl[g1, g2], g3] + table[g1, g2]
-                    if (l - r) % 1 != 0:
-                        bad.append((g1, g2, g3))
-        bad = np.array(bad[:1])
+    # omega(g1, g2 g3) + omega(g2, g3) - omega(g1 g2, g3) - omega(g1, g2), indexed (g1, g2, g3)
+    excess = (num[:, tbl] + num[None, :, :] - num[tbl, :] - num[:, :, None]) % q
+    bad = np.argwhere(excess)
     if len(bad):
         g1, g2, g3 = (int(x) for x in bad[0])
         raise IdentityViolationError(
@@ -102,7 +104,7 @@ def _check_identity(G: FiniteGroup, table: np.ndarray):
 
 def check_cocycle(group: FiniteGroup, candidate) -> Cocycle2:
     """Validate a raw rational angle table into a Cocycle2."""
-    return Cocycle2(group, _angle_table(group, candidate))
+    return Cocycle2(group, candidate)
 
 
 @dataclass(frozen=True)
@@ -125,56 +127,47 @@ class Cochain1:
 def coboundary(gamma: Cochain1) -> Cocycle2:
     """(d gamma)(g, h) = gamma(g) + gamma(h) - gamma(gh), always a cocycle."""
     G = gamma.group
-    m = G.order
-    table = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            table[i, j] = (gamma(i) + gamma(j) - gamma(G.mul(i, j))) % 1
-    return Cocycle2(G, table)
+    q = lcm(*(a.denominator for a in gamma.angles))
+    c = np.array([a.numerator * (q // a.denominator) for a in gamma.angles], dtype=object)
+    return Cocycle2(G, c[:, None] + c[None, :] - c[G.table], q)
 
 
 def multiply(a: Cocycle2, b: Cocycle2) -> Cocycle2:
     if a.group is not b.group and not np.array_equal(a.group.table, b.group.table):
         raise ValueError("cocycles live on different groups")
-    m = a.group.order
-    table = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            table[i, j] = (a.angles[i, j] + b.angles[i, j]) % 1
-    return Cocycle2(a.group, table)
+    q = lcm(a.q, b.q)  # above MAX_DENOMINATOR the sum may overflow, but Cocycle2 rejects q first
+    return Cocycle2(a.group, a.num * (q // a.q) + b.num * (q // b.q), q)
 
 
 def conjugate(a: Cocycle2) -> Cocycle2:
     """Pointwise complex conjugate (angle negation)."""
-    m = a.group.order
-    table = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            table[i, j] = (-a.angles[i, j]) % 1
-    return Cocycle2(a.group, table)
+    return Cocycle2(a.group, -a.num, a.q)
 
 
 def normalize(omega: Cocycle2) -> tuple[Cocycle2, Cochain1]:
     """A cohomologous representative with omega'(g, g^-1) = 0 for every g
-    (in particular omega'(e, e) = 0), plus the adjusting 1-cochain.
+    (in particular omega'(e, e) = 0), plus the adjusting 1-cochain.  An
+    omega that already satisfies this is returned as it is.
 
     gamma(e) cancels omega(e, e); each inverse pair {g, g^-1} splits the
-    required total correction -omega(g, g^-1) - omega(e, e) evenly.  The
-    defining conditions are re-verified on the result.
+    required total correction -omega(g, g^-1) - omega(e, e) evenly, so the
+    result lives over the denominator 2q.  The defining conditions are
+    re-verified on the result.
     """
     G = omega.group
     m = G.order
-    oee = omega.angles[0, 0]
-    gamma = [Fraction(0)] * m
-    gamma[0] = (-oee) % 1
-    for g in range(1, m):
-        need = (-omega.angles[g, G.inv(g)] - oee) % 1
-        gamma[g] = need / 2
-    cochain = Cochain1(G, tuple(gamma))
-    result = multiply(omega, coboundary(cochain))
-    for g in range(m):
-        if result.angles[g, G.inv(g)] != 0:
-            raise IdentityViolationError(f"normalization failed at element {g}")
+    diagonal = (np.arange(m), G.inverse)
+    if not omega.num[diagonal].any():
+        return omega, Cochain1(G, (0,) * m)
+    num, q = omega.num, omega.q
+    # the correction over q, read over 2q, is half of it
+    gamma = (-num[diagonal] - num[0, 0]) % q
+    gamma[0] = 2 * (-num[0, 0] % q)
+    cochain = Cochain1(G, tuple(Fraction(c, 2 * q) for c in gamma.tolist()))
+    result = Cocycle2(G, 2 * num + gamma[:, None] + gamma[None, :] - gamma[G.table], 2 * q)
+    bad = np.flatnonzero(result.num[diagonal])
+    if bad.size:
+        raise IdentityViolationError(f"normalization failed at element {bad[0]}")
     return result, cochain
 
 
@@ -185,13 +178,8 @@ def induced_character(omega: Cocycle2, split) -> Character:
     pres: H2Presentation = split.h2 if isinstance(split, SplittingData) else split
     if not np.array_equal(pres.chain.group.table, omega.group.table):
         raise ValueError("cocycle and presentation live on different groups")
-    flat = omega.flat()
-    angles = []
-    for i in range(len(pres.invariant_factors)):
-        cyc = pres.cycles[:, i]
-        total = sum((a * int(c) for a, c in zip(flat, cyc)), Fraction(0))
-        angles.append(total % 1)
-    return Character(pres.invariant_factors, tuple(angles))
+    totals = omega.num.reshape(-1).astype(object) @ pres.cycles
+    return Character(pres.invariant_factors, tuple(Fraction(int(t) % omega.q, omega.q) for t in totals))
 
 
 def cohomologous(a: Cocycle2, b: Cocycle2, presentation: H2Presentation | None = None) -> bool:
@@ -291,15 +279,16 @@ def sigma_chi(G: FiniteGroup, N: Subgroup, chi) -> Cocycle2:
         for b in N.members:
             if (chi_map[a] + chi_map[b]) % 1 != chi_map[G.mul(a, b)]:
                 raise InvalidGroupError("character is not multiplicative")
-    Q, proj, lift = quotient(G, N)
-    k = Q.order
-    table = np.empty((k, k), dtype=object)
-    for s in range(k):
-        for t in range(k):
-            st = Q.mul(s, t)
-            g = G.mul(G.mul(int(lift[s]), int(lift[t])), G.inv(int(lift[st])))
-            table[s, t] = chi_map[g]
-    return Cocycle2(Q, table)
+    # a multiplicative character has angles of order dividing |N|, so q is small
+    q = lcm(*(v.denominator for v in chi_map.values()))
+    chi_num = np.zeros(G.order, dtype=np.int64)
+    for g, v in chi_map.items():
+        chi_num[g] = v.numerator * (q // v.denominator)
+    Q, _, lift = quotient(G, N)
+    lift = np.asarray(lift, dtype=np.int64)
+    tbl = G.table
+    lands = tbl[tbl[lift[:, None], lift[None, :]], G.inverse[lift[Q.table]]]
+    return Cocycle2(Q, chi_num[lands], q)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +296,7 @@ def sigma_chi(G: FiniteGroup, N: Subgroup, chi) -> Cocycle2:
 
 
 def trivial_cocycle(G: FiniteGroup) -> Cocycle2:
-    return Cocycle2(G, np.full((G.order, G.order), Fraction(0), dtype=object))
+    return Cocycle2(G, np.zeros((G.order, G.order), dtype=np.int64), 1)
 
 
 def klein_bicharacter() -> Cocycle2:
@@ -320,14 +309,8 @@ def klein_bicharacter() -> Cocycle2:
     omega(e, g) != omega(e, e) fails the cocycle identity at (e, e, g),
     so a "(-1)^(ij - kl)" style table is rejected by check_cocycle.
     """
-    K = klein()
-    table = np.empty((4, 4), dtype=object)
-    for s in range(4):
-        for t in range(4):
-            j = (s >> 1) & 1
-            kk = t & 1
-            table[s, t] = Fraction(j * kk, 2)
-    return Cocycle2(K, table)
+    s = np.arange(4)
+    return Cocycle2(klein(), np.outer((s >> 1) & 1, s & 1), 2)
 
 
 def builtin_cocycle(name: str, G: FiniteGroup) -> Cocycle2:

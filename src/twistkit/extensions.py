@@ -19,6 +19,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -294,14 +295,9 @@ def cocycle_of_character(split: SplittingData, chi: Character) -> Cocycle2:
     pres = split.h2
     if chi.invariant_factors != pres.invariant_factors:
         raise ValueError("character does not match the homology invariants")
-    G = split.chain.group
-    m = G.order
-    pibar = split.pibar_table
-    table = np.empty((m, m), dtype=object)
-    for g1 in range(m):
-        for g2 in range(m):
-            table[g1, g2] = chi(pibar[:, g1, g2])
-    return Cocycle2(G, table)
+    q = lcm(*(a.denominator for a in chi.angles))
+    weights = np.array([int(a * q) for a in chi.angles], dtype=np.int64)
+    return Cocycle2(split.chain.group, np.tensordot(weights, split.pibar_table, axes=1), q)
 
 
 def fiber_of_extension(ext: CentralExtension, chi: Character) -> StarAlgebra:

@@ -43,8 +43,9 @@ _PAIR_STACK_LIMIT = 4_000_000
 _SAMPLED_PAIRS = 1024
 
 
-def _phase(angle) -> complex:
-    return np.exp(2j * np.pi * float(angle))
+def _phase(angle):
+    """e^(2 pi i angle) for one rational angle or a float array of them."""
+    return np.exp(2j * np.pi * np.asarray(angle, dtype=np.float64))
 
 
 def _pair_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -188,17 +189,15 @@ def twisted_group_algebra(G: FiniteGroup, omega: Cocycle2) -> StarAlgebra:
     """
     if not np.array_equal(G.table, omega.group.table):
         raise ValueError("cocycle lives on a different group")
-    if any(omega.angles[g, G.inv(g)] != 0 for g in range(G.order)):
-        omega, _ = normalize(omega)
+    omega, _ = normalize(omega)
     m = G.order
+    phase = _phase(omega.num / omega.q)
     basis = np.zeros((m, m, m), dtype=np.complex128)
-    for g in range(m):
-        for h in range(m):
-            basis[g, G.mul(g, h), h] = _phase(omega.angles[g, h])
+    basis[np.arange(m)[:, None], G.table, np.arange(m)] = phase
     # relations u_g u_h = omega(g,h) u_{gh} hold by construction; re-check
     for g in range(m):
         for h in range(m):
-            want = _phase(omega.angles[g, h]) * basis[G.mul(g, h)]
+            want = phase[g, h] * basis[G.mul(g, h)]
             if np.abs(basis[g] @ basis[h] - want).max() > TOL:
                 raise VerificationError("twisted regular representation relations failed")
     tr = basis[:, 0, 0].copy()
@@ -406,14 +405,9 @@ def scalar_system(F: FiniteGroup, omega: Cocycle2) -> TwistedSystem:
     """C as coefficients, trivial action, scalar cocycle (normalized first)."""
     if not np.array_equal(F.table, omega.group.table):
         raise ValueError("cocycle lives on a different group")
-    if any(omega.angles[g, F.inv(g)] != 0 for g in range(F.order)):
-        omega, _ = normalize(omega)
-    f = F.order
-    alpha = np.ones((f, 1, 1), dtype=np.complex128)
-    table = np.empty((f, f, 1), dtype=np.complex128)
-    for s in range(f):
-        for t in range(f):
-            table[s, t, 0] = _phase(omega.angles[s, t])
+    omega, _ = normalize(omega)
+    alpha = np.ones((F.order, 1, 1), dtype=np.complex128)
+    table = _phase(omega.num / omega.q)[:, :, None]
     return TwistedSystem(scalar_algebra(), F, alpha, table)
 
 
@@ -436,34 +430,29 @@ def system_from_normal(G: FiniteGroup, N: Subgroup, sigma: Cocycle2 | None = Non
         sigma = trivial_cocycle(G)
     if not np.array_equal(sigma.group.table, G.table):
         raise ValueError("cocycle lives on a different group")
-    if any(sigma.angles[g, G.inv(g)] != 0 for g in range(G.order)):
-        sigma, _ = normalize(sigma)
+    sigma, _ = normalize(sigma)
+    num, tbl, inv = sigma.num, G.table, G.inverse
     Ngrp, emb = subgroup_as_group(N)
-    pos = {g: i for i, g in enumerate(emb)}
+    emb = np.asarray(emb, dtype=np.int64)
     nn = Ngrp.order
-    restricted = np.empty((nn, nn), dtype=object)
-    for i, a in enumerate(emb):
-        for j, b in enumerate(emb):
-            restricted[i, j] = sigma.angles[a, b]
-    B = twisted_group_algebra(Ngrp, Cocycle2(Ngrp, restricted))
+    pos = np.zeros(G.order, dtype=np.int64)
+    pos[emb] = np.arange(nn)
+    B = twisted_group_algebra(Ngrp, Cocycle2(Ngrp, num[np.ix_(emb, emb)], sigma.q))
     Q, _, lift = quotient(G, N)
     q = Q.order
+    c = np.asarray(lift, dtype=np.int64)[:, None]  # c(s) down the rows
+    # each phase is a sum of two numerators, left unreduced below 2q: exact as a float
+    # alpha_s(u_n) = sigma(c, n) sigma(cn, c^-1) u_{c n c^-1}
+    cn, cinv = tbl[c, emb], inv[c]
     alpha = np.zeros((q, nn, nn), dtype=np.complex128)
+    alpha[np.arange(q)[:, None], pos[tbl[cn, cinv]], np.arange(nn)] = _phase(
+        (num[c, emb] + num[cn, cinv]) / sigma.q
+    )
+    # omega(s, t) = sigma(c(s), c(t)) sigma(c(s)c(t), c(st)^-1) u_{c(s) c(t) c(st)^-1}
+    cc, cst_inv = tbl[c, c.T], inv[c.ravel()[Q.table]]
     omega = np.zeros((q, q, nn), dtype=np.complex128)
-    for s in range(q):
-        c = int(lift[s])
-        cinv = G.inv(c)
-        for i, nelt in enumerate(emb):
-            cn = G.mul(c, nelt)
-            target = pos[G.mul(cn, cinv)]
-            alpha[s, target, i] = _phase(sigma.angles[c, nelt] + sigma.angles[cn, cinv])
-    for s in range(q):
-        for t in range(q):
-            cs, ct = int(lift[s]), int(lift[t])
-            cst_inv = G.inv(int(lift[Q.mul(s, t)]))
-            cc = G.mul(cs, ct)
-            target = pos[G.mul(cc, cst_inv)]
-            omega[s, t, target] = _phase(sigma.angles[cs, ct] + sigma.angles[cc, cst_inv])
+    s, t = np.indices((q, q))
+    omega[s, t, pos[tbl[cc, cst_inv]]] = _phase((num[c, c.T] + num[cc, cst_inv]) / sigma.q)
     return TwistedSystem(B, Q, alpha, omega)
 
 

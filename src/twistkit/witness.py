@@ -242,7 +242,10 @@ def verify_witness(oracle: ElementOracle, witness: WitnessSet, radius: int) -> d
     """Check hF != F for every non-identity h of word length <= radius.
 
     Returns a report with the number of translates checked and any
-    violating h; `passed` is True when no translation fixes F."""
+    violating h; `passed` is True when no translation fixes F.  A radius
+    below 1 checks no translate, so it is rejected rather than passed."""
+    if radius < 1:
+        raise ValueError(f"radius must be at least 1, got {radius}")
     F = set(witness.elements)
     ball = word_ball(oracle, radius)
     violations = []

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,210 @@ class TestErrors:
     def test_wrong_group_for_builtin_cocycle(self):
         code, _, err = invoke("twist", "--group", "cyclic:4", "--cocycle", "paper-klein")
         assert code == 1 and "klein" in err
+
+
+class TestCapsAndHoles:
+    @pytest.mark.parametrize("radius", ["0", "-3"])
+    def test_witness_radius_below_one_is_domain_error(self, radius):
+        code, out, err = invoke("witness", "--group", "Z", "--n", "5", "--radius", radius)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "radius" in err
+
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (("--f", "92"), [4226]),
+            (("--twisted", "46", "46"), [4226]),
+            (("--hw", str(10**2150), str(10**2150), "0"), [4300]),
+            (("--nilpotent", "9012", "0"), [4300, 4300]),
+            (("--wreath-finite-k", "4505"), [4300]),
+        ],
+    )
+    def test_bound_at_cap(self, argv, digits):
+        code, out, _ = invoke("bound", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert [len(str(v)) for v in (doc if isinstance(doc, list) else [doc])] == digits
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--f", "93"),
+            ("--twisted", "46", "47"),
+            ("--hw", str(10**2150), str(10**2150), "1"),
+            ("--hw", "9" * 4000, "9" * 4000, "3"),
+            ("--nilpotent", "9013", "0"),
+            ("--nilpotent", "9012", "1"),
+            ("--nilpotent", "100000", "2"),
+            ("--nilpotent", str(10**12), "0"),
+            ("--wreath-finite-k", "4506"),
+            ("--wreath-finite-k", str(10**12)),
+        ],
+    )
+    def test_bound_past_cap_is_domain_error(self, argv):
+        # a power past its cap is never computed, so 10**12 fails at once
+        code, out, err = invoke("bound", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Exceeds" not in err
+
+
+def _deep_descriptor(levels):
+    doc = '{"kind":"finite","order":2}'
+    for _ in range(levels):
+        doc = '{"kind":"ext","normal":%s,"quotient":{"kind":"finite","order":2}}' % doc
+    return doc
+
+
+class TestJsonDepth:
+    def test_inline_descriptor_too_deep(self):
+        code, out, err = invoke("hirsch", "--descriptor", _deep_descriptor(3000))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(cli._JSON_DEPTH_CAP) in err
+
+    def test_files_too_deep(self, tmp_path):
+        nested = "[" * 5000 + "]" * 5000
+        files = {"group": nested, "cocycle": '{"angles":%s}' % nested, "descriptor": _deep_descriptor(3000)}
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        for argv in (
+            ("h2", "--group", f"@{tmp_path / 'group.json'}"),
+            ("twist", "--group", "klein", "--cocycle", f"@{tmp_path / 'cocycle.json'}"),
+            ("hirsch", "--descriptor", f"@{tmp_path / 'descriptor.json'}"),
+            ("verdict", "--base", "Z", "--top", f"@{tmp_path / 'descriptor.json'}"),
+        ):
+            code, out, err = invoke(*argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error:") and str(cli._JSON_DEPTH_CAP) in err, argv
+
+    def test_depth_counts_brackets_outside_strings(self):
+        cap = cli._JSON_DEPTH_CAP
+        assert cli._parse_json('{"label":"%s"}' % ("[{" * 1000)) == {"label": "[{" * 1000}
+        assert cli._parse_json(r'["\\\"[", []]') == ['\\"[', []]  # escaped quote, then a bracket
+        assert len(cli._parse_json("[" * cap + "]" * cap)) == 1
+        with pytest.raises(ValueError, match=str(cap)):
+            cli._parse_json("[" * (cap + 1) + "]" * (cap + 1))
+
+    def test_deepest_descriptor_runs(self, tmp_path):
+        # cap - 1 ext levels nest the document exactly cap deep; run in a
+        # fresh process, whose stack starts as shallow as the command's
+        path = tmp_path / "d.json"
+        path.write_text(_deep_descriptor(cli._JSON_DEPTH_CAP - 1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistkit.cli", "hirsch", "--descriptor", f"@{path}"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0 and json.loads(proc.stdout)["hirsch"] == 0
+
+
+class TestBadArgvFuzz:
+    """Seeded malformed argv through cli.run: every one ends in exit 0, 1 or
+    2, never a traceback or an internal error."""
+
+    SUBCOMMANDS = [
+        "h2", "h1", "extend", "classify", "twist", "fibers", "crossed",
+        "imprimitivity", "stabilize", "hirsch", "bound", "verdict", "witness",
+    ]
+
+    @staticmethod
+    def _pools(tmp_path):
+        files = {
+            "deep.json": "[" * 5000 + "]" * 5000,
+            "broken.json": "{not json",
+            "list.json": "[1, 2]",
+            "group.json": '{"order": 2, "table": [[0, 1], [1, 2]]}',
+            "over.json": json.dumps(
+                {"angles": [["0"] * 3, ["0", f"3/{2**53}", "0"], ["0", "0", f"{2**53 - 3}/{2**53}"]]}
+            ),
+            "badcoc.json": '{"angles": [["0", "1/3"], ["0", "0"]]}',
+            "desc.json": _deep_descriptor(3000),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        at = {name: f"@{tmp_path / name}" for name in files}
+        ints = ["-3", "0", "2", "9" * 4000, str(10**12)]
+        descriptors = ["Z", "Z^x", "Z^-2", "finite:0", "finite:-3", "Zinv:x", "{", "{}", "[]",
+                       '{"kind":"finite"}', '{"kind":"wreath"}', _deep_descriptor(3000),
+                       at["desc.json"], at["deep.json"], at["broken.json"], "garbage", ""]
+        return {
+            "--group": ["klein", "cyclic:3", "cyclic:2", "dihedral:3", "quaternion8", "nosuch",
+                        "cyclic:", "cyclic:-2", "cyclic:0", "cyclic:x", "dihedral:0", "", "@",
+                        at["deep.json"], at["broken.json"], at["list.json"], at["group.json"],
+                        "@/nonexistent/g.json"],
+            "--cocycle": ["trivial", "paper-klein", "nosuch", "", at["over.json"],
+                          at["badcoc.json"], at["deep.json"], at["list.json"], "@/nonexistent/c.json"],
+            "--normal": ["center", "0,1", "gen:1", "gen:", "x", "-1", "99", "1,,2", "gen:a"],
+            "--subgroup": ["center", "0,1", "gen:", "x", "-1", "99", "gen:a,b"],
+            "--descriptor": descriptors,
+            "--base": descriptors,
+            "--top": descriptors,
+            "--which": ["dimnuc", "dr", "bogus"],
+            "--n": ["-1", "0", "3"],
+            "--radius": ["-3", "0", "2"],
+            "--seed": ["7", "0", "-1"],
+            "--f": ints + ["92", "93"],
+            "--wreath-finite-k": ints + ["4505", "4506", "100000"],
+            "--twisted": ints + ["46", "47"],
+            "--hw": ints + [str(10**2150)],
+            "--nilpotent": ints + ["9012", "9013", "100000"],
+            "witness --group": ["Z", "Dinf", "ZxZ2", "nosuch"],
+        }
+
+    FLAGS = {
+        "h2": ["--group"], "h1": ["--group"], "extend": ["--group"], "classify": ["--group"],
+        "twist": ["--group", "--cocycle"], "fibers": ["--group"],
+        "crossed": ["--group", "--normal", "--cocycle"],
+        "imprimitivity": ["--group", "--subgroup", "--cocycle"],
+        "stabilize": ["--group", "--cocycle"], "hirsch": ["--descriptor"],
+        "verdict": ["--base", "--top", "--which"], "witness": ["--group", "--n", "--radius"],
+    }
+    BOUND_FLAGS = ["--f", "--twisted", "--hw", "--nilpotent", "--wreath-finite-k"]
+    NARGS = {"--twisted": 2, "--hw": 3, "--nilpotent": 2}
+    UNPARSABLE = ["x", "", "1.5", "9" * 5000]
+
+    def _argv(self, rng, pools, sub):
+        if sub == "bound":
+            flags = rng.sample(self.BOUND_FLAGS, 1 if rng.random() < 0.8 else 2)
+        else:
+            flags = [f for f in self.FLAGS[sub] if rng.random() > 0.1]  # sometimes one is missing
+        argv = [sub]
+        for flag in flags + ["--seed"]:
+            pool = pools.get(f"{sub} {flag}", pools[flag])
+            argv.append(flag)
+            for _ in range(self.NARGS.get(flag, 1)):
+                argv.append(rng.choice(self.UNPARSABLE if rng.random() < 0.05 else pool))
+        if rng.random() < 0.05:
+            argv.append(rng.choice(["--bogus", "--blocks", "-h", "--group"]))
+        return argv
+
+    def test_malformed_argv(self, tmp_path, capsys):
+        rng = random.Random(20261018)
+        pools = self._pools(tmp_path)
+        holes = [  # each once ended in a pass, a Python digit-limit message or exit 3
+            ["witness", "--group", "Z", "--n", "5", "--radius", "-3"],
+            ["witness", "--group", "Z", "--n", "5", "--radius", "0"],
+            ["bound", "--nilpotent", "100000", "2"],
+            ["bound", "--wreath-finite-k", "100000"],
+            ["bound", "--hw", "9" * 4000, "9" * 4000, "9"],
+            ["hirsch", "--descriptor", _deep_descriptor(3000)],
+            ["h2", "--group", f"@{tmp_path / 'deep.json'}"],
+            ["twist", "--group", "cyclic:3", "--cocycle", f"@{tmp_path / 'over.json'}"],
+        ]
+        argvs = holes + [[], ["bogus"], ["h2", "--group"], ["--seed", "x"]]
+        argvs += [self._argv(rng, pools, self.SUBCOMMANDS[i % 13]) for i in range(200)]
+        codes = {0: 0, 1: 0, 2: 0}
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            code = run(argv, stdout=out, stderr=err)
+            captured = capsys.readouterr()
+            text = err.getvalue() + captured.err + captured.out
+            assert code in codes, (argv, err.getvalue())
+            assert "Traceback" not in text and "internal error" not in text, argv
+            assert code == 1 or argv not in holes, argv
+            codes[code] += 1
+        assert codes[1] > 100  # most of the corpus gets past argparse to the handlers
 
 
 class TestDeterminism:

@@ -1,11 +1,15 @@
 """Exact rational 2-cocycles: identity checking, coboundaries, classes."""
 
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from twistkit.cli import run
 from twistkit.cocycles import (
+    MAX_DENOMINATOR,
     Cochain1,
     Cocycle2,
     builtin_cocycle,
@@ -30,9 +34,11 @@ from twistkit.groups import (
     dihedral,
     klein,
     quaternion8,
+    quotient,
     symmetric,
 )
 from twistkit.homology import build_chain, h2_presentation, make_splitting
+from twistkit.staralg import scalar_system, twisted_group_algebra
 
 F = Fraction
 
@@ -124,6 +130,83 @@ class TestIdentityCheck:
         om = trivial_cocycle(cyclic(3))
         with pytest.raises(ValueError):
             om.angles[0, 0] = F(1, 2)
+
+
+def _c3_coboundary_table(denom, normalized=True):
+    # gamma = (0, 1/denom, -1/denom) has gamma(g^-1) = -gamma(g), so d gamma
+    # is normalized, and its angles 3/denom have denominator denom for a
+    # power of two; gamma = (0, 1/denom, 0) gives (d gamma)(1, 2) = 1/denom
+    C3 = cyclic(3)
+    gamma = (F(0), F(1, denom), F(-1 if normalized else 0, denom))
+    table = [[(gamma[i] + gamma[j] - gamma[C3.mul(i, j)]) % 1 for j in range(3)] for i in range(3)]
+    return C3, table
+
+
+class TestDenominatorLimit:
+    def test_limit_is_two_to_the_52(self):
+        assert MAX_DENOMINATOR == 2**52
+
+    def test_limit_accepted_and_exceeded(self):
+        C3, table = _c3_coboundary_table(2**52)
+        om = check_cocycle(C3, table)
+        assert om.q == 2**52 and om.angle(1, 1) == F(3, 2**52)
+        C3, table = _c3_coboundary_table(2**53)
+        with pytest.raises(ValueError, match=r"2\*\*52"):
+            check_cocycle(C3, table)
+
+    def test_normalize_doubling_past_the_limit_rejected(self):
+        C3, table = _c3_coboundary_table(2**52, normalized=False)
+        om = check_cocycle(C3, table)
+        assert om.q == 2**52 and om.angle(1, 2) == F(1, 2**52)  # omega(g, g^-1) != 0: normalizing halves angles
+        with pytest.raises(ValueError, match=r"2\*\*52"):
+            normalize(om)
+
+    @pytest.mark.parametrize("denom, code", [(2**52, 0), (2**53, 1)])
+    def test_cli_cocycle_file(self, tmp_path, denom, code):
+        _, table = _c3_coboundary_table(denom)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"angles": [[str(a) for a in row] for row in table]}))
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["twist", "--group", "cyclic:3", "--cocycle", f"@{path}"], stdout=out, stderr=err) == code
+        if code:
+            assert out.getvalue() == "" and err.getvalue().startswith("error:") and "2**52" in err.getvalue()
+        else:
+            assert json.loads(out.getvalue()) == {"dim": 3}
+
+
+class TestNumeratorTable:
+    def test_lowest_terms(self):
+        om = klein_bicharacter()
+        assert om.q == 2 and om.num.dtype == np.int64
+        assert not om.num.flags.writeable
+        triv = multiply(om, conjugate(om))
+        assert triv.is_trivial_table() and triv.q == 1
+        scaled = Cocycle2(klein(), 6 * om.num + 12, 12)  # 6/12 reduces to 1/2
+        assert scaled.q == 2 and np.array_equal(scaled.num, om.num)
+
+    def test_angles_derived_from_numerators(self):
+        rng = np.random.default_rng(3)
+        om = multiply(klein_bicharacter(), coboundary(random_cochain(klein(), rng, denom=12)))
+        assert all(om.angles[i, j] == F(int(om.num[i, j]), om.q) == om.angle(i, j) for i in range(4) for j in range(4))
+        assert om.to_json()["angles"] == [[str(a) for a in row] for row in om.angles]
+
+    @pytest.mark.parametrize("G", [klein(), quaternion8(), symmetric(3)], ids=lambda G: G.name)
+    def test_phases_bit_identical_to_fraction_floats(self, G):
+        rng = np.random.default_rng(17)
+        base = klein_bicharacter() if G.order == 4 else trivial_cocycle(G)
+        m = G.order
+        for _ in range(3):
+            om = multiply(base, coboundary(random_cochain(G, rng, denom=int(rng.integers(2, 13)))))
+            ref = np.array(
+                [[np.exp(2j * np.pi * float(a)) for a in row] for row in normalize(om)[0].angles]
+            )
+            basis = twisted_group_algebra(G, om).basis
+            want = np.zeros((m, m, m), dtype=np.complex128)
+            for g in range(m):
+                for h in range(m):
+                    want[g, G.mul(g, h), h] = ref[g, h]
+            assert basis.tobytes() == want.tobytes()
+            assert scalar_system(G, om).omega[:, :, 0].tobytes() == ref.tobytes()
 
 
 class TestCoboundariesAndProducts:
@@ -317,6 +400,18 @@ class TestSigmaChi:
                 pres = h2_presentation(build_chain(sig.group))
             seen.add(induced_character(sig, pres).angles)
         assert len(seen) == 2
+
+    def test_matches_lifted_products(self):
+        # reference: chi of c(s) c(t) c(st)^-1, entry by entry
+        for G in (quaternion8(), dihedral(4)):
+            N = center(G)
+            Q, _, lift = quotient(G, N)
+            for chi in subgroup_characters(N):
+                sig = sigma_chi(G, N, chi)
+                for s in range(Q.order):
+                    for t in range(Q.order):
+                        g = G.mul(G.mul(int(lift[s]), int(lift[t])), G.inv(int(lift[Q.mul(s, t)])))
+                        assert sig.angle(s, t) == chi[g]
 
     def test_noncentral_subgroup_rejected(self):
         S3 = symmetric(3)

@@ -245,6 +245,14 @@ class TestFibers:
                 via_cocycle = block_profile(twisted_group_algebra(klein(), omega)).blocks
                 assert via_fiber == via_cocycle
 
+    def test_cocycle_of_character_matches_character_values(self):
+        # reference: the character evaluated on each pair's H2 coordinates
+        ext = sample_extension(klein(), seed=5)
+        pibar = ext.split.pibar_table
+        for chi in characters_for_factors(ext.split.h2.invariant_factors):
+            omega = cocycle_of_character(ext.split, chi)
+            assert all(omega.angle(i, j) == chi(pibar[:, i, j]) for i in range(4) for j in range(4))
+
     def test_cocycle_of_character_trivial_chi(self):
         ext = sample_extension(klein(), seed=2)
         chi = characters_for_factors((2,))[0]

@@ -133,6 +133,13 @@ class TestVerification:
         assert rep["passed"] is False
         assert [0, 1] in rep["violations"]
 
+    @pytest.mark.parametrize("radius", [0, -3])
+    def test_radius_below_one_rejected(self, radius):
+        # a ball of radius < 1 holds no translate, which must not read as a pass
+        w = finite_subset_witness(ORACLES["Z"], 5)
+        with pytest.raises(ValueError, match="radius"):
+            verify_witness(ORACLES["Z"], w, radius)
+
     def test_report_is_jsonable(self):
         import json
 
