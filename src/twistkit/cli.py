@@ -239,9 +239,7 @@ def _cmd_hirsch(args):
     return doc, dsc.derivation_lines(d)
 
 
-# Python converts an int of at most 4300 decimal digits to a string (the
-# default of sys.set_int_max_str_digits); every printed bound stays within it
-_PRINT_DIGITS = 4300
+# every printed bound stays within dsc.PRINT_DIGITS decimal digits:
 # f(92) has 4226 decimal digits; f(93) has more than 4300
 _F_ARG_CAP = 92
 # 3^9012 has 4300 digits (9012 log10 3 = 4299.8); 3^9013 has 4301
@@ -256,8 +254,8 @@ def _check_argument(name: str, n: int, cap: int) -> None:
 
 
 def _check_printable(value: int) -> int:
-    if abs(value) >= 10**_PRINT_DIGITS:
-        raise ValueError(f"the bound has more than {_PRINT_DIGITS} decimal digits")
+    if abs(value) >= 10**dsc.PRINT_DIGITS:
+        raise ValueError(f"the bound has more than {dsc.PRINT_DIGITS} decimal digits")
     return value
 
 

@@ -19,7 +19,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import IdentityViolationError, InvalidGroupError
-from .groups import FiniteGroup, Subgroup, klein
+from .groups import FiniteGroup, Subgroup, element_orders, generating_sequence, klein, mixed_radix
 from .homology import Character, SplittingData, H2Presentation, build_chain, h2_presentation
 
 # with q <= 2**52 a sum of two numerators is below 2**53, so it converts to
@@ -197,64 +197,30 @@ def cohomologous(a: Cocycle2, b: Cocycle2, presentation: H2Presentation | None =
 
 def subgroup_characters(S: Subgroup) -> list[dict[int, Fraction]]:
     """All homomorphisms from an abelian subgroup into Q/Z, each as a map
-    from parent element index to angle.  The trivial character comes first."""
+    from parent element index to angle, in ascending order of their angles
+    on the members.  The trivial character comes first."""
     G = S.parent
     mem = list(S.members)
-    inside = set(mem)
-    for a in mem:
-        for b in mem:
-            if G.mul(a, b) != G.mul(b, a):
-                raise InvalidGroupError("subgroup is not abelian")
-    # choose generators greedily, then extend angle assignments by closure
-    gens: list[int] = []
-    closure = {0}
-    while len(closure) < len(mem):
-        nxt = max((x for x in mem if x not in closure), key=lambda x: G.order_of(x))
-        gens.append(nxt)
-        new = set(closure)
-        frontier = list(closure)
-        while frontier:
-            x = frontier.pop()
-            y = G.mul(x, nxt)
-            if y not in new:
-                new.add(y)
-                frontier.append(y)
-        closure = new
-
-    out: list[dict[int, Fraction]] = []
-
-    def assign(idx: int, current: dict[int, Fraction]):
-        if idx == len(gens):
-            out.append(dict(current))
-            return
-        g = gens[idx]
-        o = G.order_of(g)
-        for t in range(o):
-            trial = dict(current)
-            ok = True
-            frontier = list(trial.keys())
-            trial_g = Fraction(t, o)
-            # close under multiplication by g
-            while frontier:
-                x = frontier.pop()
-                y = G.mul(x, g)
-                val = (trial[x] + trial_g) % 1
-                if y in trial:
-                    if trial[y] != val:
-                        ok = False
-                        break
-                else:
-                    trial[y] = val
-                    frontier.append(y)
-            if ok:
-                assign(idx + 1, trial)
-
-    assign(0, {0: Fraction(0)})
-    complete = [c for c in out if len(c) == len(mem)]
-    complete.sort(key=lambda c: tuple(c[x] for x in mem))
-    if len(complete) != len(mem):
+    sub = G.table[np.ix_(mem, mem)]
+    if not np.array_equal(sub, sub.T):
+        raise InvalidGroupError("subgroup is not abelian")
+    # each exponent vector e over greedy generators g_i of orders o_i names
+    # the member word[e] = prod g_i^e_i; sending g_i to t_i / o_i is a
+    # character exactly when equal words get equal angles
+    gens = generating_sequence(G, mem)
+    orders = element_orders(G)[gens]
+    expo, _ = mixed_radix(orders)
+    word = np.zeros(len(expo), dtype=np.int64)
+    for g, o, e in zip(gens, orders, expo.T):
+        word = G.table[word, np.array([G.power(g, k) for k in range(o)])[e]]
+    q = lcm(*orders.tolist())
+    num = expo * (q // orders) @ expo.T % q  # num[t, e] = angle of word[e] under t, over q
+    _, first, where = np.unique(word, return_index=True, return_inverse=True)
+    chars = num[(num == num[:, first[where]]).all(axis=1)][:, first]
+    if len(chars) != len(mem):
         raise InvalidGroupError("character count mismatch on abelian subgroup")
-    return complete
+    chars = chars[np.lexsort(chars.T[::-1])]
+    return [{x: Fraction(n, q) for x, n in zip(mem, row)} for row in chars.tolist()]
 
 
 def sigma_chi(G: FiniteGroup, N: Subgroup, chi) -> Cocycle2:

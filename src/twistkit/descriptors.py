@@ -23,6 +23,11 @@ from .errors import IndeterminateHirschError
 
 INF = math.inf
 
+# Python converts an int of at most 4300 decimal digits to a string (the
+# default of sys.set_int_max_str_digits); every printed cardinality and
+# bound stays within it
+PRINT_DIGITS = 4300
+
 _FLAG_KEYS = (
     "finitely_generated",
     "virt_nilpotent",
@@ -170,7 +175,10 @@ def cardinality(d: GroupDescriptor) -> float | None:
             return ch
         if ck is None or ch is None:
             return None
-        return ck**ch * ch
+        # ck**ch has at least ch * log10(ck) digits: refuse before computing it
+        if ch > PRINT_DIGITS / math.log10(ck):
+            raise _too_many_digits()
+        return _printable(ck**ch * ch)
     if isinstance(d, DirectSum):
         cards = [cardinality(p) for p in d.parts]
         if any(c == INF for c in cards):
@@ -179,9 +187,21 @@ def cardinality(d: GroupDescriptor) -> float | None:
             return None
         total = 1
         for c in cards:
-            total *= int(c)
+            total = _printable(total * int(c))
         return total
     raise TypeError(f"not a descriptor: {d!r}")
+
+
+def _too_many_digits() -> ValueError:
+    return ValueError(f"cardinality has more than {PRINT_DIGITS} decimal digits")
+
+
+def _printable(n: int) -> int:
+    # every finite cardinality is below 10**PRINT_DIGITS, so a product of
+    # two of them is cheap to form and check
+    if n >= 10**PRINT_DIGITS:
+        raise _too_many_digits()
+    return n
 
 
 def _card_product(a: float | None, b: float | None) -> float | None:
@@ -190,7 +210,7 @@ def _card_product(a: float | None, b: float | None) -> float | None:
         return INF
     if a is None or b is None:
         return None
-    return a * b
+    return _printable(a * b)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -33,9 +32,10 @@ from .groups import (
     center,
     cyclic,
     dihedral,
-    direct_product,
+    element_orders,
     is_isomorphic_small,
     klein,
+    mixed_radix,
     quaternion8,
 )
 from .homology import Character, SplittingData, build_chain, characters_for_factors, h1, h2, make_splitting
@@ -50,22 +50,10 @@ _KLEIN_NAMES = {1: "a", 2: "b", 3: "ab"}
 def abelian_group(factors: tuple[int, ...]) -> FiniteGroup:
     """Direct sum of cyclic groups; tuple (c_1, ..., c_k) sits at the
     mixed-radix index with the first coordinate most significant."""
-    G = cyclic(1)
-    for d in factors:
-        G = direct_product(G, cyclic(d)) if G.order > 1 else cyclic(d)
-    if len(factors) != 1:
-        name = "+".join(f"Z/{d}" for d in factors) or "0"
-        G = FiniteGroup(G.table, name=name)
-    return G
-
-
-def _mixed_radix_strides(factors: tuple[int, ...]) -> list[int]:
-    strides = []
-    acc = 1
-    for d in reversed(factors):
-        strides.append(acc)
-        acc *= d
-    return list(reversed(strides))
+    digits, strides = mixed_radix(factors)
+    table = (digits[:, None] + digits) % np.array(factors, dtype=np.int64) @ strides
+    name = f"cyclic({factors[0]})" if len(factors) == 1 else "+".join(f"Z/{d}" for d in factors) or "0"
+    return FiniteGroup(table, name=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +83,7 @@ class CentralExtension:
         image = sorted(int(x) for x in self.embed.map)
         if not set(image) <= set(center(E).members):
             raise VerificationError("embedded homology is not central")
-        kernel = sorted(i for i in range(E.order) if self.project.map[i] == 0)
+        kernel = np.flatnonzero(self.project.map == 0).tolist()
         if image != kernel:
             raise VerificationError("embedding image differs from the projection kernel")
         if not self.project.is_surjective():
@@ -118,41 +106,23 @@ def build_extension(G: FiniteGroup, split: SplittingData) -> CentralExtension:
     """Assemble and fully verify the central extension defined by a splitting."""
     if not np.array_equal(split.chain.group.table, G.table):
         raise ValueError("splitting belongs to a different group")
-    pres = split.h2
-    factors = pres.invariant_factors
+    factors = split.h2.invariant_factors
     h2_inv = intlin.AbelianInvariants(factors)
     m = G.order
     nH = h2_inv.order()
     size = nH * m
     if size > EXTENSION_CAP:
         raise ResourceCapError(f"extension order {size} exceeds {EXTENSION_CAP}")
-    k = len(factors)
-    pibar = split.pibar_table  # (k, m, m), entries already reduced mod the factors
+    pibar = split.pibar_table.transpose(1, 2, 0)  # (m, m, k), already reduced mod the factors
     mods = np.array(factors, dtype=np.int64)
-    strides = np.array(_mixed_radix_strides(factors), dtype=np.int64)
+    coords, strides = mixed_radix(factors)
+    o = -pibar[0, 0] % mods
+    o_idx = int(o @ strides)
 
-    coords = np.empty((nH, k), dtype=np.int64)
-    for x in range(nH):
-        rem = x
-        for i in range(k):
-            coords[x, i] = rem // strides[i]
-            rem %= strides[i]
-
-    o = (-pibar[:, 0, 0]) % mods if k else np.empty(0, dtype=np.int64)
-    o_idx = int(o @ strides) if k else 0
-
-    # raw index of (x, g) is x*m + g; then swap so the identity (o, e) is 0
-    raw = np.empty((size, size), dtype=np.int64)
-    for x1 in range(nH):
-        for g1 in range(m):
-            row = x1 * m + g1
-            for x2 in range(nH):
-                if k:
-                    newx = (coords[x1] + coords[x2] + pibar[:, g1, :].T) % mods
-                    idx = newx @ strides
-                else:
-                    idx = np.zeros(m, dtype=np.int64)
-                raw[row, x2 * m : (x2 + 1) * m] = idx * m + G.table[g1]
+    # raw index of (x, g) is x*m + g, built as [x1, g1, x2, g2]; then swap so
+    # the identity (o, e) is 0
+    newx = (coords[:, None, None, None] + coords[:, None] + pibar[:, None]) % mods @ strides
+    raw = (newx * m + G.table[:, None, :]).reshape(size, size)
     id_raw = o_idx * m
     perm = np.arange(size, dtype=np.int64)
     perm[0], perm[id_raw] = id_raw, 0
@@ -161,13 +131,9 @@ def build_extension(G: FiniteGroup, split: SplittingData) -> CentralExtension:
     E = FiniteGroup(table, name=f"ext({G.name})")
 
     Hgrp = abelian_group(factors)
-    emb_map = np.empty(nH, dtype=np.int64)
-    for z in range(nH):
-        zc = (coords[z] + o) % mods if k else o
-        emb_map[z] = perm[(int(zc @ strides) if k else 0) * m]
+    emb_map = perm[(coords + o) % mods @ strides * m]
     proj_map = np.empty(size, dtype=np.int64)
-    for x in range(nH):
-        proj_map[perm[x * m : (x + 1) * m]] = np.arange(m)
+    proj_map[perm] = np.arange(size) % m
     section_map = perm[o_idx * m : o_idx * m + m]
 
     return CentralExtension(
@@ -258,12 +224,8 @@ def classify_extension(ext: CentralExtension) -> ExtensionClass:
         raise ResourceCapError(f"classification capped at order {CLASSIFY_CAP}, got {E.order}")
     lifts: tuple[int, ...] = ()
     if np.array_equal(ext.base.table, klein().table):
-        found = []
-        for g in range(1, 4):
-            fiber_orders = {E.order_of(e) for e in range(E.order) if ext.project.map[e] == g}
-            if 4 in fiber_orders:
-                found.append(g)
-        lifts = tuple(found)
+        orders = element_orders(E)
+        lifts = tuple(g for g in range(1, 4) if 4 in orders[ext.project.map == g])
         if E.order == 8:
             if len(lifts) == 3 and is_isomorphic_small(E, quaternion8()):
                 return ExtensionClass("Q8", lifts)
@@ -305,14 +267,8 @@ def fiber_of_extension(ext: CentralExtension, chi: Character) -> StarAlgebra:
     embedding of the homology."""
     if chi.invariant_factors != ext.h2.torsion:
         raise ValueError("character does not match the extension's homology")
-    strides = _mixed_radix_strides(ext.h2.torsion)
-    chi_map: dict[int, Fraction] = {}
-    for z in range(ext.h2.order()):
-        rem, zc = z, []
-        for s in strides:
-            zc.append(rem // s)
-            rem %= s
-        chi_map[int(ext.embed.map[z])] = chi(zc)
+    coords, _ = mixed_radix(ext.h2.torsion)
+    chi_map = {int(e): chi(c) for e, c in zip(ext.embed.map, coords.tolist())}
     return cutdown_fiber(ext.total, ext.kernel_subgroup, chi_map)
 
 

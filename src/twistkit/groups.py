@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
@@ -144,20 +145,12 @@ def group_from_json(data: dict) -> FiniteGroup:
     arr = np.array(tbl, dtype=np.int64)
     # locate the two-sided identity, then renumber it to 0
     idx = np.arange(m)
-    ident = [e for e in range(m) if np.array_equal(arr[e], idx) and np.array_equal(arr[:, e], idx)]
+    ident = np.flatnonzero((arr == idx).all(axis=1) & (arr == idx[:, None]).all(axis=0))
     if len(ident) != 1:
         raise InvalidGroupError("table has no two-sided identity element")
-    e = ident[0]
-    if e != 0:
-        perm = np.empty(m, dtype=np.int64)
-        order_kept = [e] + [i for i in range(m) if i != e]
-        for new, old in enumerate(order_kept):
-            perm[old] = new
-        new_arr = np.empty_like(arr)
-        for i in range(m):
-            for j in range(m):
-                new_arr[perm[i], perm[j]] = perm[arr[i, j]]
-        arr = new_arr
+    # kept[new] = old: the identity first, the others in file order
+    kept = np.concatenate([ident, np.delete(idx, ident)])
+    arr = np.argsort(kept)[arr[np.ix_(kept, kept)]]
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise InvalidGroupError('"name" must be a string')
@@ -166,6 +159,19 @@ def group_from_json(data: dict) -> FiniteGroup:
 
 # ---------------------------------------------------------------------------
 # builtin constructions
+
+
+def mixed_radix(radices) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed-radix numbering of digit tuples, first digit most significant.
+
+    Returns (digits, strides): digits[x] is the digit tuple of index x, and
+    index = digits @ strides.  The empty tuple of radices numbers one index,
+    0, whose digit tuple is empty.
+    """
+    radices = tuple(int(d) for d in radices)
+    strides = np.array([prod(radices[i + 1 :]) for i in range(len(radices))], dtype=np.int64)
+    digits = np.arange(prod(radices))[:, None] // strides % np.array(radices, dtype=np.int64)
+    return digits, strides
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -194,14 +200,8 @@ def dihedral(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    m = 2 * n
-    tbl = np.empty((m, m), dtype=np.int64)
-    for a in range(m):
-        i1, j1 = a % n, a // n
-        for b in range(m):
-            i2, j2 = b % n, b // n
-            i = (i1 + (i2 if j1 == 0 else -i2)) % n
-            tbl[a, b] = i + n * (j1 ^ j2)
+    i, j = np.divmod(np.arange(2 * n), n)[::-1]
+    tbl = (i[:, None] + (1 - 2 * j)[:, None] * i) % n + n * (j[:, None] ^ j)
     return FiniteGroup(tbl, name=f"dihedral({n})")
 
 
@@ -246,13 +246,11 @@ def symmetric(n: int) -> FiniteGroup:
     """
     if not 1 <= n <= 5:
         raise ValueError(f"symmetric group parameter must be in 1..5, got {n}")
-    perms = list(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    tbl = np.empty((m, m), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            tbl[i, j] = index[tuple(p[q[x]] for x in range(n))]
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    # composed[i, j] = p_i o p_j; lex order is ascending order of the base-n codes
+    composed = perms[np.arange(len(perms))[:, None, None], perms[None]]
+    _, strides = mixed_radix((n,) * n)
+    tbl = np.searchsorted(perms @ strides, composed @ strides)
     return FiniteGroup(tbl, name=f"symmetric({n})")
 
 
@@ -270,30 +268,27 @@ def semidirect(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     (a1, b1)(a2, b2) = (a1 * (b1.a2), b1 b2).
     """
     act = np.asarray(action, dtype=np.int64)
-    if act.shape != (B.order, A.order):
-        raise ValueError(f"action must have shape ({B.order}, {A.order}), got {act.shape}")
-    for b in range(B.order):
-        phi = act[b]
-        if not np.array_equal(np.sort(phi), np.arange(A.order)) or phi[0] != 0:
-            raise ValueError(f"action of element {b} is not a bijection fixing identity")
-        if not np.array_equal(phi[A.table], A.table[phi[:, None], phi[None, :]]):
-            raise ValueError(f"action of element {b} is not an automorphism")
-    for b1 in range(B.order):
-        for b2 in range(B.order):
-            if not np.array_equal(act[B.table[b1, b2]], act[b1][act[b2]]):
-                raise ValueError("action is not a homomorphism from the acting group")
     na, nb = A.order, B.order
-    tbl = np.empty((na * nb, na * nb), dtype=np.int64)
-    for a1 in range(na):
-        for b1 in range(nb):
-            lhs = a1 * nb + b1
-            a2 = np.arange(na)
-            twisted = A.table[a1, act[b1]]
-            blocks = twisted[:, None] * nb + B.table[b1]
-            tbl[lhs] = blocks.reshape(-1)
+    if act.shape != (nb, na):
+        raise ValueError(f"action must have shape ({nb}, {na}), got {act.shape}")
+    # the first element of B failing a check is named; a bijection fixing the
+    # identity is checked before the automorphism property
+    ident = np.arange(na)
+    not_bijection = (np.sort(act, axis=1) != ident).any(axis=1) | (act[:, 0] != 0)
+    phi = np.where(not_bijection[:, None], ident, act)
+    not_auto = (phi[:, A.table] != A.table[phi[:, :, None], phi[:, None, :]]).any(axis=(1, 2))
+    if (not_bijection | not_auto).any():
+        b = int(np.argmax(not_bijection | not_auto))
+        what = "a bijection fixing identity" if not_bijection[b] else "an automorphism"
+        raise ValueError(f"action of element {b} is not {what}")
+    if not np.array_equal(act[B.table], act[np.arange(nb)[:, None, None], act[None]]):
+        raise ValueError("action is not a homomorphism from the acting group")
+    # (a1, b1)(a2, b2) = (a1 * (b1.a2), b1 b2), indexed [a1, b1, a2, b2]
+    first = A.table[ident[:, None, None], act[None]]
+    tbl = (first[..., None] * nb + B.table[:, None, :]).reshape(na * nb, na * nb)
     names = (A.name or "?", B.name or "?")
     label = f"{names[0]} x {names[1]}" if np.array_equal(
-        act, np.tile(np.arange(na), (nb, 1))
+        act, np.tile(ident, (nb, 1))
     ) else f"{names[0]} x| {names[1]}"
     return FiniteGroup(tbl, name=label)
 
@@ -302,8 +297,9 @@ def wreath(K: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Wreath product K wr H = K^H x| H, with H permuting coordinates.
 
     A tuple f: H -> K is encoded little-endian in base |K| over the |H|
-    coordinates; (f, h) sits at index f_code * |H| + h_idx.  The action is
-    (h.f)(x) = f(h^-1 x).
+    coordinates, i.e. f(x) is the mixed-radix digit x counted from the least
+    significant end; (f, h) sits at index f_code * |H| + h_idx.  The action
+    is (h.f)(x) = f(h^-1 x).
     """
     nk, nh = K.order, H.order
     total = nk**nh * nh
@@ -311,35 +307,13 @@ def wreath(K: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
         raise ResourceCapError(
             f"wreath product order {total} exceeds the limit {MAX_CONSTRUCTED_ORDER}"
         )
-
-    def decode(code):
-        out = []
-        for _ in range(nh):
-            out.append(code % nk)
-            code //= nk
-        return out
-
-    def encode(f):
-        code = 0
-        for t in reversed(range(nh)):
-            code = code * nk + f[t]
-        return code
-
-    tuples = [decode(c) for c in range(nk**nh)]
-    tbl = np.empty((total, total), dtype=np.int64)
-    for c1, f1 in enumerate(tuples):
-        for h1 in range(nh):
-            lhs = c1 * nh + h1
-            row = np.empty(total, dtype=np.int64)
-            for c2, f2 in enumerate(tuples):
-                # (f1, h1)(f2, h2) = (f1 . (h1.f2), h1 h2)
-                shifted = [f2[H.table[H.inverse[h1], x]] for x in range(nh)]
-                prod = [K.table[f1[x], shifted[x]] for x in range(nh)]
-                base = encode(prod) * nh
-                for h2 in range(nh):
-                    row[c2 * nh + h2] = base + H.table[h1, h2]
-            tbl[lhs] = row
-    return FiniteGroup(tbl, name=f"{K.name or '?'} wr {H.name or '?'}")
+    digits, strides = mixed_radix((nk,) * nh)
+    f, weight = digits[:, ::-1], strides[::-1]  # f[c, x] = f_c(x)
+    moved = f[:, H.table[H.inverse]]  # moved[c, h, x] = (h.f_c)(x)
+    # (f1, h1)(f2, h2) = (f1 . (h1.f2), h1 h2); code indexed [c1, c2, h1]
+    code = sum(K.table[f[:, None, None, x], moved[None, :, :, x]] * weight[x] for x in range(nh))
+    tbl = code.transpose(0, 2, 1)[..., None] * nh + H.table[:, None, :]
+    return FiniteGroup(tbl.reshape(total, total), name=f"{K.name or '?'} wr {H.name or '?'}")
 
 
 # name -> (constructor, arity, order implied by the parameters); None where
@@ -400,13 +374,18 @@ class Subgroup:
             raise InvalidGroupError("subgroup must contain the identity")
         if mem[-1] >= G.order:
             raise InvalidGroupError("subgroup member out of range")
-        inside = set(mem)
-        for a in mem:
-            if G.inv(a) not in inside:
-                raise InvalidGroupError(f"subgroup not closed under inverse at {a}")
-            for b in mem:
-                if G.mul(a, b) not in inside:
-                    raise InvalidGroupError(f"subgroup not closed under product at ({a}, {b})")
+        # members in order, each checked for its inverse and then its
+        # products with every member in order; the first failure is named
+        inside = self.indicator
+        bad_inv = ~inside[G.inverse[list(mem)]]
+        bad_mul = ~inside[G.table[np.ix_(mem, mem)]]
+        bad = bad_inv | bad_mul.any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_inv[i]:
+                raise InvalidGroupError(f"subgroup not closed under inverse at {mem[i]}")
+            b = mem[int(np.argmax(bad_mul[i]))]
+            raise InvalidGroupError(f"subgroup not closed under product at ({mem[i]}, {b})")
 
     @property
     def order(self) -> int:
@@ -416,30 +395,62 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // len(self.members)
 
+    @property
+    def indicator(self) -> np.ndarray:
+        """Boolean membership mask over the parent's elements."""
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[list(self.members)] = True
+        return inside
+
     def __contains__(self, i: int) -> bool:
         return i in set(self.members)
 
     def is_normal(self) -> bool:
         G = self.parent
-        inside = set(self.members)
-        return all(G.conjugate(g, x) in inside for g in G.elements() for x in self.members)
+        conj = G.table[G.table[:, list(self.members)], G.inverse[:, None]]  # [g, x] = g x g^-1
+        return bool(self.indicator[conj].all())
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """The subgroup generated by the given element indices."""
-    seen = {0}
-    frontier = [0]
-    gens = [int(g) for g in gens]
-    if any(not 0 <= g < G.order for g in gens):
+    gens = np.array(list(gens), dtype=object)  # an index out of range may not fit int64
+    if ((gens < 0) | (gens >= G.order)).any():
         raise InvalidGroupError(f"generator index out of range 0..{G.order - 1}")
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (G.mul(x, g), G.mul(g, x)):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return Subgroup(G, tuple(sorted(seen)))
+    gens = gens.astype(np.int64)
+    # in a finite group the positive words in the generators are the subgroup
+    inside = np.zeros(G.order, dtype=bool)
+    inside[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.unique(G.table[np.ix_(frontier, gens)])
+        frontier = reached[~inside[reached]]
+        inside[frontier] = True
+    return Subgroup(G, tuple(np.flatnonzero(inside).tolist()))
+
+
+def element_orders(G: FiniteGroup) -> np.ndarray:
+    """The order of every element, stepping all powers g^k together."""
+    idx = np.arange(G.order)
+    orders = np.zeros(G.order, dtype=np.int64)
+    power, k = idx, 1
+    while not orders.all():
+        orders[(power == 0) & (orders == 0)] = k
+        power, k = G.table[power, idx], k + 1
+    return orders
+
+
+def generating_sequence(G: FiniteGroup, members=None) -> list[int]:
+    """Greedy generators of the subgroup with the given sorted members (all
+    of G by default): repeatedly the element of largest order outside the
+    closure so far, ties going to the smallest index."""
+    mem = np.arange(G.order) if members is None else np.asarray(members, dtype=np.int64)
+    by_order = mem[np.argsort(-element_orders(G)[mem], kind="stable")]
+    gens: list[int] = []
+    inside = generated_subgroup(G, gens).indicator
+    while not inside[mem].all():
+        gens.append(int(by_order[np.argmax(~inside[by_order])]))
+        inside = generated_subgroup(G, gens).indicator
+    return gens
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -451,13 +462,8 @@ def center(G: FiniteGroup) -> Subgroup:
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
     """Subgroup generated by all commutators g h g^-1 h^-1."""
-    comms = set()
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            hg = G.mul(h, g)
-            comms.add(G.mul(gh, G.inv(hg)))
-    return generated_subgroup(G, comms)
+    tbl = G.table
+    return generated_subgroup(G, np.unique(tbl[tbl, G.inverse[tbl.T]]))  # (g h)(h g)^-1
 
 
 def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -467,13 +473,9 @@ def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, list[int]]:
     the identity keeps index 0 because members are sorted.
     """
     mem = list(S.members)
-    pos = {p: i for i, p in enumerate(mem)}
-    n = len(mem)
-    tbl = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(mem):
-        for j, b in enumerate(mem):
-            tbl[i, j] = pos[S.parent.mul(a, b)]
-    return FiniteGroup(tbl, name="subgroup"), mem
+    pos = np.zeros(S.parent.order, dtype=np.int64)
+    pos[mem] = np.arange(len(mem))
+    return FiniteGroup(pos[S.parent.table[np.ix_(mem, mem)]], name="subgroup"), mem
 
 
 @dataclass(frozen=True)
@@ -505,19 +507,20 @@ class Homomorphism:
         return len(set(self.map.tolist())) == self.codomain.order
 
 
+def coset_index(G: FiniteGroup, S: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """Number the left cosets gS in ascending order of their minimal elements.
+
+    Returns (number, reps): number[g] is the coset of g and reps[c] is the
+    minimal element of coset c, its canonical representative (reps[0] = 0).
+    """
+    reps, number = np.unique(G.table[:, list(S.members)].min(axis=1), return_inverse=True)
+    return number, reps
+
+
 def left_cosets(G: FiniteGroup, S: Subgroup) -> list[tuple[int, ...]]:
-    """Left cosets gS, the identity coset first, the rest sorted by their
-    minimal element (which serves as the canonical representative)."""
-    seen = set()
-    cosets = []
-    for g in G.elements():
-        if g in seen:
-            continue
-        coset = tuple(sorted(G.mul(g, s) for s in S.members))
-        seen.update(coset)
-        cosets.append(coset)
-    cosets.sort(key=lambda c: c[0])
-    return cosets
+    """Left cosets gS as sorted tuples, in the order of coset_index."""
+    number, reps = coset_index(G, S)
+    return [tuple(c) for c in np.argsort(number, kind="stable").reshape(len(reps), -1).tolist()]
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism, np.ndarray]:
@@ -530,18 +533,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism, np
         raise InvalidGroupError("subgroup belongs to a different parent group")
     if not N.is_normal():
         raise InvalidGroupError("subgroup is not normal")
-    cosets = left_cosets(G, N)
-    belong = np.empty(G.order, dtype=np.int64)
-    for qi, coset in enumerate(cosets):
-        for x in coset:
-            belong[x] = qi
-    k = len(cosets)
-    lift = np.array([c[0] for c in cosets], dtype=np.int64)
-    tbl = np.empty((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            tbl[i, j] = belong[G.mul(int(lift[i]), int(lift[j]))]
-    Q = FiniteGroup(tbl, name=f"{G.name or '?'}/N")
+    belong, lift = coset_index(G, N)
+    Q = FiniteGroup(belong[G.table[np.ix_(lift, lift)]], name=f"{G.name or '?'}/N")
     proj = Homomorphism(G, Q, belong)
     lift.setflags(write=False)
     return Q, proj, lift
@@ -549,7 +542,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism, np
 
 def element_order_profile(G: FiniteGroup) -> tuple[int, ...]:
     """Sorted multiset of element orders."""
-    return tuple(sorted(G.order_of(i) for i in G.elements()))
+    return tuple(sorted(element_orders(G).tolist()))
 
 
 def is_isomorphic_small(G: FiniteGroup, H: FiniteGroup) -> bool:
@@ -570,16 +563,9 @@ def is_isomorphic_small(G: FiniteGroup, H: FiniteGroup) -> bool:
     if center(G).order != center(H).order:
         return False
 
-    # greedy generating sequence, largest order first to shrink the search
-    gens: list[int] = []
-    closure = {0}
-    by_order = sorted(G.elements(), key=lambda i: -G.order_of(i))
-    while len(closure) < G.order:
-        nxt = next(i for i in by_order if i not in closure)
-        gens.append(nxt)
-        closure = set(generated_subgroup(G, gens).members)
-
-    h_orders = [H.order_of(i) for i in H.elements()]
+    # largest order first to shrink the search
+    gens = generating_sequence(G)
+    h_orders = element_orders(H)
 
     def extend(assigned: dict[int, int], images: list[int]) -> bool:
         if len(images) == len(gens):

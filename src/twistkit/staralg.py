@@ -30,7 +30,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .groups import FiniteGroup, Subgroup, center, left_cosets, quotient, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, center, coset_index, quotient, subgroup_as_group
 
 TOL = 1e-8
 EIG_GAP = 1e-6
@@ -500,10 +500,9 @@ def cutdown_fiber(G: FiniteGroup, N: Subgroup, chi) -> StarAlgebra:
     if set(chi_map) != set(N.members):
         raise InvalidGroupError("character must be defined exactly on the subgroup")
     m = G.order
-    tbl = G.table
+    idx = np.arange(m)
     perms = np.zeros((m, m, m), dtype=np.complex128)
-    for g in range(m):
-        perms[g, tbl[g], np.arange(m)] = 1.0
+    perms[idx[:, None], G.table, idx] = 1.0  # perms[g] is left multiplication by g
     e = sum(np.conj(_phase(chi_map[z])) * perms[z] for z in N.members) / len(N.members)
     if np.abs(e @ e - e).max() > TOL or np.abs(e - e.conj().T).max() > TOL:
         raise VerificationError("central character idempotent failed to be a projection")
@@ -512,13 +511,7 @@ def cutdown_fiber(G: FiniteGroup, N: Subgroup, chi) -> StarAlgebra:
     if r != m // len(N.members):
         raise VerificationError("fiber rank does not match the coset count")
     Q = V[:, w > 0.5]
-    reps = []
-    seen = set()
-    for g in range(m):
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.update(int(tbl[z, g]) for z in N.members)
+    _, reps = coset_index(G, N)  # N is central, so its left and right cosets agree
     basis = np.array([Q.conj().T @ perms[g] @ Q for g in reps])
     tr = np.array([np.trace(b) / r for b in basis])
     return StarAlgebra(basis, tr, label=f"C[{G.name}]@chi")
@@ -567,49 +560,28 @@ def verify_imprimitivity(B: StarAlgebra, H: Subgroup, sys: TwistedSystem, seed: 
     Hgrp, emb = subgroup_as_group(H)
     if not np.array_equal(Hgrp.table, sys.group.table):
         raise ValueError("system group does not match the subgroup")
-    pos = {g: i for i, g in enumerate(emb)}
-    cosets = left_cosets(G, H)
-    q = len(cosets)
-    nB = B.dim
-    if q * nB * G.order > CROSSED_CAP:
+    number, t = coset_index(G, H)
+    m, q, nB, DB = G.order, len(t), B.dim, B.rep_dim
+    if q * nB * m > CROSSED_CAP:
         raise ResourceCapError("induced crossed product exceeds the resource cap")
-    t = [c[0] for c in cosets]
-    cidx = np.empty(G.order, dtype=np.int64)
-    for x, coset in enumerate(cosets):
-        for g in coset:
-            cidx[g] = x
-    kappa = np.empty((G.order, q), dtype=np.int64)
-    for g in range(G.order):
-        for x in range(q):
-            gx = int(cidx[G.mul(g, t[x])])
-            h = G.mul(G.mul(G.inv(t[gx]), g), t[x])
-            kappa[g, x] = pos[h]  # KeyError would mean the coset algebra broke
+    tbl, inv, g, x = G.table, G.inverse, np.arange(m)[:, None], np.arange(q)
+    pos = np.zeros(m, dtype=np.int64)
+    pos[emb] = np.arange(len(emb))
+    # g t_x = t_{gx} kappa(g, x) with kappa(g, x) in H, indexed [g, x]
+    gx = number[tbl[g, t]]
+    kappa = pos[tbl[tbl[inv[t[gx]], g], t]]
     nA = q * nB
-    DB = B.rep_dim
-    basis = np.zeros((nA, q * DB, q * DB), dtype=np.complex128)
-    tr = np.zeros(nA, dtype=np.complex128)
-    for x in range(q):
-        sl = slice(x * DB, (x + 1) * DB)
-        for i in range(nB):
-            basis[x * nB + i][sl, sl] = B.basis[i]
-            tr[x * nB + i] = B.trace_vector[i] / q
-    A = StarAlgebra(basis, tr, label=f"Ind({B.label})")
-    alpha = np.zeros((G.order, nA, nA), dtype=np.complex128)
-    omega = np.zeros((G.order, G.order, nA), dtype=np.complex128)
-    for g in range(G.order):
-        for x in range(q):
-            gx = int(cidx[G.mul(g, t[x])])
-            h = kappa[g, x]
-            alpha[g, gx * nB : (gx + 1) * nB, x * nB : (x + 1) * nB] = sys.alpha[h]
-    for g1 in range(G.order):
-        for g2 in range(G.order):
-            for x in range(q):
-                y1 = int(cidx[G.mul(G.inv(g1), t[x])])
-                h1 = kappa[g1, y1]
-                y2 = int(cidx[G.mul(G.inv(g2), t[y1])])
-                h2 = kappa[g2, y2]
-                omega[g1, g2, x * nB : (x + 1) * nB] = sys.omega[h1, h2]
-    induced = TwistedSystem(A, G, alpha, omega)
+    basis = np.zeros((q, nB, q, DB, q, DB), dtype=np.complex128)
+    basis[x, :, x, :, x, :] = B.basis  # b_i in diagonal block x
+    tr = np.tile(B.trace_vector / q, q)
+    A = StarAlgebra(basis.reshape(nA, q * DB, q * DB), tr, label=f"Ind({B.label})")
+    alpha = np.zeros((m, q, nB, q, nB), dtype=np.complex128)
+    alpha[g, gx, :, x, :] = sys.alpha[kappa]
+    # omega(g1, g2) on block x: kappa(g1, y1) with y1 = g1^-1 x, kappa(g2, y2) with y2 = g2^-1 y1
+    y1 = number[tbl[inv[:, None], t]]
+    y2 = number[tbl[inv[None, :, None], t[y1][:, None, :]]]
+    omega = sys.omega[kappa[g, y1][:, None, :], kappa[np.arange(m)[:, None], y2]]
+    induced = TwistedSystem(A, G, alpha.reshape(m, nA, nA), omega.reshape(m, m, nA))
     ambient = block_profile(crossed_product(induced), seed)
     small = block_profile(crossed_product(sys), seed)
     expected = tuple(sorted(d * q for d in small.blocks))

@@ -12,6 +12,7 @@ import pytest
 
 import twistkit
 from twistkit import cli
+from twistkit import descriptors as dsc
 from twistkit.cli import load_descriptor, load_group, load_subgroup, run
 from twistkit.descriptors import Finite, FreeAbelian, Zinv
 from twistkit.groups import klein, quaternion8
@@ -241,6 +242,34 @@ class TestErrors:
         assert code == 1 and "klein" in err
 
 
+class TestExplicitMembers:
+    """Comma lists of element indices are checked as given; the first failing
+    member (its inverse, then its products in member order) is named."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("crossed", "--group", "symmetric:3", "--normal", "1,3"), "subgroup not closed under product at (1, 3)"),
+            (("crossed", "--group", "dihedral:4", "--normal", "1"), "subgroup not closed under inverse at 1"),
+            (("crossed", "--group", "dihedral:4", "--normal", "2,4"), "subgroup not closed under product at (2, 4)"),
+            (("crossed", "--group", "quaternion8", "--normal", "1"), "subgroup not closed under inverse at 1"),
+            (("imprimitivity", "--group", "dihedral:3", "--subgroup", "1,3"), "subgroup not closed under inverse at 1"),
+            (("imprimitivity", "--group", "symmetric:4", "--subgroup", "1,2,5"), "subgroup not closed under product at (1, 2)"),
+            (("imprimitivity", "--group", "klein", "--subgroup", "1,9"), "subgroup member out of range"),
+            (("crossed", "--group", "symmetric:3", "--normal", "1"), "subgroup is not normal"),
+            (("crossed", "--group", "dihedral:4", "--normal", "4"), "subgroup is not normal"),
+        ],
+    )
+    def test_rejected_with_first_witness(self, argv, message):
+        assert invoke(*argv) == (1, "", f"error: {message}\n")
+
+    def test_closed_lists_accepted(self):
+        code, out, _ = invoke("crossed", "--group", "symmetric:3", "--normal", "3,4")
+        assert (code, out) == (0, '{"blocks":[1,1,2],"dim":6}\n')
+        code, out, _ = invoke("imprimitivity", "--group", "dihedral:3", "--subgroup", "3")
+        assert code == 0 and json.loads(out)["compressed_profile"] == [1, 1]
+
+
 class TestCapsAndHoles:
     @pytest.mark.parametrize("radius", ["0", "-3"])
     def test_witness_radius_below_one_is_domain_error(self, radius):
@@ -284,6 +313,28 @@ class TestCapsAndHoles:
         code, out, err = invoke("bound", *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Exceeds" not in err
+
+
+def _wreath_chain(levels):
+    doc = {"kind": "finite", "order": 2}
+    for _ in range(levels):
+        doc = {"kind": "wreath", "base": doc, "top": {"kind": "finite", "order": 2}}
+    return json.dumps(doc)
+
+
+class TestCardinalityCap:
+    def test_twelve_levels_print_exactly(self):
+        # |K wr C2| = 2 |K|^2, so level n has 2^(2^(n+1) - 1) elements
+        code, out, _ = invoke("hirsch", "--descriptor", _wreath_chain(12))
+        assert code == 0
+        assert json.loads(out)["cardinality"] == 2 ** (2**13 - 1)
+        assert len(str(2 ** (2**13 - 1))) == 2466
+
+    @pytest.mark.parametrize("levels", [13, 40])
+    def test_deeper_chains_are_one_line_domain_errors(self, levels):
+        code, out, err = invoke("hirsch", "--descriptor", _wreath_chain(levels))
+        assert (code, out) == (1, "")
+        assert err == f"error: cardinality has more than {dsc.PRINT_DIGITS} decimal digits\n"
 
 
 def _deep_descriptor(levels):

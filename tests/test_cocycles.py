@@ -32,6 +32,8 @@ from twistkit.groups import (
     center,
     cyclic,
     dihedral,
+    direct_product,
+    generated_subgroup,
     klein,
     quaternion8,
     quotient,
@@ -355,6 +357,53 @@ class TestSubgroupCharacters:
         full = Subgroup(S3, tuple(range(6)))
         with pytest.raises(InvalidGroupError):
             subgroup_characters(full)
+
+    @pytest.mark.parametrize(
+        "G, members",
+        [
+            (cyclic(1), (0,)),
+            (cyclic(12), tuple(range(12))),
+            (cyclic(12), (0, 3, 6, 9)),
+            (klein(), (0, 1, 2, 3)),
+            (direct_product(cyclic(2), cyclic(6)), tuple(range(12))),
+            (direct_product(cyclic(4), cyclic(4)), tuple(range(16))),
+            (direct_product(klein(), cyclic(2)), tuple(range(8))),
+            (dihedral(4), (0, 2)),
+            (dihedral(4), (0, 2, 4, 6)),
+            (quaternion8(), (0, 1, 4, 5)),
+        ],
+    )
+    def test_matches_backtracking_reference(self, G, members):
+        # every character extends its values on greedy generators by closure
+        order = G.order_of
+        gens, closure = [], {0}
+        while len(closure) < len(members):
+            gens.append(max((x for x in members if x not in closure), key=order))
+            closure = set(generated_subgroup(G, gens).members)
+        found = []
+
+        def assign(i, current):
+            if i == len(gens):
+                found.append(current)
+                return
+            g, o = gens[i], order(gens[i])
+            for t in range(o):
+                trial, frontier, ok = dict(current), list(current), True
+                while frontier:
+                    x = frontier.pop()
+                    y, val = G.mul(x, g), (trial[x] + Fraction(t, o)) % 1
+                    if y not in trial:
+                        trial[y] = val
+                        frontier.append(y)
+                    elif trial[y] != val:
+                        ok = False
+                        break
+                if ok:
+                    assign(i + 1, trial)
+
+        assign(0, {0: Fraction(0)})
+        ref = sorted((c for c in found if len(c) == len(members)), key=lambda c: [c[x] for x in members])
+        assert subgroup_characters(Subgroup(G, members)) == ref
 
 
 class TestSigmaChi:

@@ -121,6 +121,19 @@ class TestCardinality:
         assert cardinality(Wreath(Finite(2), Z)) == INF
         assert cardinality(Wreath(unknown_atom(), Z)) == INF
 
+    def test_cardinality_digit_cap(self):
+        # 10**4299 has 4300 digits and is printable; one more factor of 10 is not
+        assert cardinality(Wreath(Finite(10), Finite(4299 - 4))) == 10**4295 * 4295
+        assert cardinality(DirectSum((Finite(10**2000), Finite(10**2299)))) == 10**4299
+        for d in (
+            Wreath(Finite(10), Finite(4300)),
+            Wreath(Finite(2), Finite(10**50)),
+            DirectSum((Finite(10**2000), Finite(10**2300))),
+            Extension(Finite(10**2000), Finite(10**2300)),
+        ):
+            with pytest.raises(ValueError, match="4300"):
+                cardinality(d)
+
 
 class TestFlags:
     def test_leaves(self):

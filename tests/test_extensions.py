@@ -24,6 +24,7 @@ from twistkit.groups import (
     dihedral,
     direct_product,
     klein,
+    mixed_radix,
     quaternion8,
     symmetric,
 )
@@ -83,13 +84,13 @@ class TestBuildExtension:
         # s(g1) s(g2) = embed(o + pibar(g1, g2)) s(g1 g2)
         pibar = ext.split.pibar_table
         mods = np.array(ext.h2.torsion, dtype=np.int64)
-        strides = extensions._mixed_radix_strides(ext.h2.torsion)
+        _, strides = mixed_radix(ext.h2.torsion)
         o = np.array(ext.offset, dtype=np.int64)
         for g1 in range(G.order):
             for g2 in range(G.order):
                 lhs = E.mul(ext.section(g1), ext.section(g2))
                 z = (o + pibar[:, g1, g2]) % mods
-                zidx = int(z @ np.array(strides, dtype=np.int64))
+                zidx = int(z @ strides)
                 rhs = E.mul(ext.embed(zidx), ext.section(G.mul(g1, g2)))
                 assert lhs == rhs
 

@@ -116,6 +116,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             groups.semidirect(A, B, bad)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the first bad element in order, bijection checked before automorphism
+            ([[0, 2, 1, 3], [0, 1, 1, 3]], "action of element 0 is not an automorphism"),
+            ([[0, 1, 2, 3], [0, 1, 1, 3]], "action of element 1 is not a bijection fixing identity"),
+            ([[1, 0, 2, 3], [0, 3, 2, 1]], "action of element 0 is not a bijection fixing identity"),
+            ([[0, 1, 2, 3], [0, 9, 2, 3]], "action of element 1 is not a bijection fixing identity"),
+            ([[0, 3, 2, 1], [0, 1, 2, 3]], "action is not a homomorphism from the acting group"),
+        ],
+    )
+    def test_semidirect_validation_messages(self, rows, message):
+        with pytest.raises(ValueError) as exc:
+            groups.semidirect(groups.cyclic(4), groups.cyclic(2), np.array(rows))
+        assert str(exc.value) == message
+
     def test_wreath_z2_z2_is_dihedral4(self):
         W = groups.wreath(groups.cyclic(2), groups.cyclic(2))
         assert W.order == 8
@@ -253,6 +269,72 @@ class TestSubgroupsAndQuotients:
             groups.Homomorphism(G, H, [0, 1, 1, 0])
         with pytest.raises(InvalidGroupError):
             groups.Homomorphism(G, H, [1, 0, 1, 0])
+
+
+def _greedy_by_stable_sort(G):
+    # the generating sequence rule of the isomorphism search
+    gens, closure = [], {0}
+    by_order = sorted(G.elements(), key=lambda i: -G.order_of(i))
+    while len(closure) < G.order:
+        gens.append(next(i for i in by_order if i not in closure))
+        closure = set(groups.generated_subgroup(G, gens).members)
+    return gens
+
+
+def _greedy_by_max(G):
+    # the generating sequence rule of the character enumeration: grow the
+    # closure by right multiplication with each new generator
+    gens, closure = [], {0}
+    while len(closure) < G.order:
+        nxt = max((x for x in G.elements() if x not in closure), key=G.order_of)
+        gens.append(nxt)
+        new, frontier = set(closure), list(closure)
+        while frontier:
+            y = G.mul(frontier.pop(), nxt)
+            if y not in new:
+                new.add(y)
+                frontier.append(y)
+        closure = new
+    return gens
+
+
+class TestGeneratingSequence:
+    @pytest.mark.parametrize(
+        "G",
+        [
+            groups.klein(),
+            groups.cyclic(12),
+            groups.direct_product(groups.cyclic(2), groups.cyclic(4)),
+            groups.direct_product(groups.cyclic(4), groups.cyclic(4)),
+            groups.direct_product(groups.klein(), groups.cyclic(2)),
+            groups.direct_product(groups.direct_product(groups.cyclic(3), groups.cyclic(2)), groups.cyclic(4)),
+        ],
+        ids=["klein", "C12", "C2xC4", "C4xC4", "C2^3", "C3xC2xC4"],
+    )
+    def test_matches_both_greedy_rules(self, G):
+        gens = groups.generating_sequence(G)
+        assert gens == _greedy_by_stable_sort(G) == _greedy_by_max(G)
+        assert groups.generated_subgroup(G, gens).order == G.order
+
+    def test_subgroup_members(self):
+        S4 = groups.symmetric(4)
+        A4 = groups.commutator_subgroup(S4)
+        gens = groups.generating_sequence(S4, A4.members)
+        assert set(gens) <= set(A4.members)
+        assert groups.generated_subgroup(S4, gens).members == A4.members
+        assert groups.generating_sequence(S4, (0,)) == []
+
+    def test_element_orders(self):
+        for G in BUILTIN_CORPUS:
+            assert groups.element_orders(G).tolist() == [G.order_of(i) for i in G.elements()]
+
+    def test_mixed_radix(self):
+        digits, strides = groups.mixed_radix((3, 2, 4))
+        assert strides.tolist() == [8, 4, 1]
+        assert digits[13].tolist() == [1, 1, 1]
+        assert np.array_equal(digits @ strides, np.arange(24))
+        empty, none = groups.mixed_radix(())
+        assert empty.shape == (1, 0) and none.shape == (0,) and (empty @ none).tolist() == [0]
 
 
 class TestIsomorphism:
