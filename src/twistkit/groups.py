@@ -3,7 +3,10 @@
 Elements of a group of order m are the indices 0..m-1, with 0 always the
 identity.  The whole structure is the multiplication table; builtins
 (cyclic, klein, dihedral, quaternion, symmetric, products, wreath) fix a
-documented element enumeration so results are reproducible.
+documented element enumeration so results are reproducible, and every
+table is built by array indexing.  Coordinate tuples follow one digit
+convention (mixed_radix), subgroups have one closure (generated_subgroup)
+and cosets one numbering (coset_index).
 """
 
 from __future__ import annotations

@@ -580,7 +580,7 @@ def verify_imprimitivity(B: StarAlgebra, H: Subgroup, sys: TwistedSystem, seed: 
     # omega(g1, g2) on block x: kappa(g1, y1) with y1 = g1^-1 x, kappa(g2, y2) with y2 = g2^-1 y1
     y1 = number[tbl[inv[:, None], t]]
     y2 = number[tbl[inv[None, :, None], t[y1][:, None, :]]]
-    omega = sys.omega[kappa[g, y1][:, None, :], kappa[np.arange(m)[:, None], y2]]
+    omega = sys.omega[kappa[g, y1][:, None, :], kappa[g, y2]]  # g broadcasts over the g2 axis
     induced = TwistedSystem(A, G, alpha.reshape(m, nA, nA), omega.reshape(m, m, nA))
     ambient = block_profile(crossed_product(induced), seed)
     small = block_profile(crossed_product(sys), seed)
