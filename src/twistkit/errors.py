@@ -23,7 +23,7 @@ class IdentityViolationError(TwistkitError):
 
 
 class NoSolutionError(TwistkitError):
-    """An integer linear system M x = b has no solution (b outside the column lattice)."""
+    """A vector lies outside the lattice it must belong to (a 2-chain that is not a cycle)."""
 
 
 class ResourceCapError(TwistkitError):

@@ -19,11 +19,6 @@ import numpy as np
 
 from .errors import InvalidGroupError, ResourceCapError
 
-# Full m^3 associativity sweep is cheap up to a few hundred elements; past
-# this the constructions themselves are the guarantee and the constructor
-# only samples.
-_FULL_ASSOC_LIMIT = 600
-
 # Largest group order any construction here builds: its Cayley table is
 # the size squared in int64 entries (200 MB at this limit).
 MAX_CONSTRUCTED_ORDER = 5000
@@ -66,17 +61,20 @@ class FiniteGroup:
             raise InvalidGroupError("index 0 is not a right identity")
         if np.any(np.sort(tbl, axis=1) != idx) or np.any(np.sort(tbl, axis=0) != idx[:, None]):
             raise InvalidGroupError("table is not a Latin square")
-        if m <= _FULL_ASSOC_LIMIT:
-            block = max(1, 2**22 // (m * m))
-            for i0 in range(0, m, block):
-                i1 = min(m, i0 + block)
-                # left[i,j,k] = (g_i g_j) g_k, right[i,j,k] = g_i (g_j g_k)
-                if not np.array_equal(tbl[tbl[i0:i1]], tbl[i0:i1][:, tbl]):
-                    raise InvalidGroupError("multiplication is not associative")
-        else:
-            rng = np.random.default_rng(0)
-            for i, j, k in rng.integers(0, m, size=(4096, 3)):
-                if tbl[tbl[i, j], k] != tbl[i, tbl[j, k]]:
+        # Light's test: the a with (x a) y = x (a y) for all x, y are closed
+        # under products, so checking it for generators whose left-normed
+        # products reach every element proves associativity, in m^2 work
+        # per generator
+        gens: list[int] = []
+        reached = _right_closure(tbl, gens)
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            reached = _right_closure(tbl, gens)
+        block = max(1, 2**22 // m)
+        for a in gens:
+            for x0 in range(0, m, block):
+                rows = tbl[x0 : x0 + block]
+                if not np.array_equal(tbl[rows[:, a]], rows[:, tbl[a]]):
                     raise InvalidGroupError("multiplication is not associative")
 
     def mul(self, i: int, j: int) -> int:
@@ -414,20 +412,25 @@ class Subgroup:
         return bool(self.indicator[conj].all())
 
 
+def _right_closure(tbl: np.ndarray, gens) -> np.ndarray:
+    """Mask of the left-normed products of the generators (and identity)."""
+    inside = np.zeros(len(tbl), dtype=bool)
+    inside[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.unique(tbl[np.ix_(frontier, gens)])
+        frontier = reached[~inside[reached]]
+        inside[frontier] = True
+    return inside
+
+
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """The subgroup generated by the given element indices."""
     gens = np.array(list(gens), dtype=object)  # an index out of range may not fit int64
     if ((gens < 0) | (gens >= G.order)).any():
         raise InvalidGroupError(f"generator index out of range 0..{G.order - 1}")
-    gens = gens.astype(np.int64)
     # in a finite group the positive words in the generators are the subgroup
-    inside = np.zeros(G.order, dtype=bool)
-    inside[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        reached = np.unique(G.table[np.ix_(frontier, gens)])
-        frontier = reached[~inside[reached]]
-        inside[frontier] = True
+    inside = _right_closure(G.table, gens.astype(np.int64))
     return Subgroup(G, tuple(np.flatnonzero(inside).tolist()))
 
 

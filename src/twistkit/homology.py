@@ -18,7 +18,11 @@ representatives and H2 coordinates in the pair basis, make_splitting a
 splitting sigma of d2 onto its image, the induced projection pi = id -
 sigma d2 onto the cycle lattice, and its reduction pibar to H2
 coordinates, which downstream code feeds into extension and
-twisted-algebra constructions.
+twisted-algebra constructions.  It solves no linear system: the column
+Hermite form d2 @ V = [B | 0] gives V = [S | K] and V^-1 = [T; Y] (cycle
+basis K, kernel coordinates Y @ c, d2 = B @ T, preimages S), and the Smith
+form of the boundary lattice in K coordinates gives U, whose rows reduce
+to H2, and U^-1, whose columns lift H2 generators to cycles.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from . import intlin
-from .errors import ResourceCapError, VerificationError
+from .errors import NoSolutionError, ResourceCapError, VerificationError
 from .groups import FiniteGroup
 
 _ORDER_CAP = 24
@@ -119,11 +123,14 @@ class H2Presentation:
         coordinates (W @ w) mod d, componentwise.
     cycles: one representative 2-cycle per invariant factor (C2 coords),
         chosen so cycle i has H2 coordinates e_i.
+    d2_reduction: column_hnf(d2) = (H, V, Vinv, pivots), with V = [S | kernel]
+        and Vinv = [T; Y] split at the rank of d2; Y @ c gives the kernel
+        coordinates of a cycle c, and T gives d2 in the basis H[:, :rank].
     """
 
     chain: ChainData
     kernel: np.ndarray
-    kernel_hnf: tuple
+    d2_reduction: tuple
     invariant_factors: tuple[int, ...]
     reduce_rows: np.ndarray
     cycles: np.ndarray
@@ -133,40 +140,39 @@ class H2Presentation:
         return intlin.AbelianInvariants(self.invariant_factors)
 
     def h2_coordinates(self, cycle_vec) -> tuple[int, ...]:
-        """H2 class of a 2-cycle given in C2 coordinates."""
-        w = intlin.solve_in_image(self.kernel, np.asarray(cycle_vec))
-        raw = intlin.exact_matmul(self.reduce_rows, w.reshape(-1, 1))[:, 0]
+        """H2 class of a 2-cycle given in C2 coordinates; NoSolutionError
+        unless d2 kills it."""
+        c = np.asarray(cycle_vec).reshape(-1, 1)
+        if np.any(intlin.exact_matmul(self.chain.d2, c)):
+            raise NoSolutionError("the chain is not a 2-cycle")
+        _, _, Vinv, pivots = self.d2_reduction
+        w = intlin.exact_matmul(Vinv[len(pivots) :], c)
+        raw = intlin.exact_matmul(self.reduce_rows, w)[:, 0]
         return tuple(int(r) % d for r, d in zip(raw, self.invariant_factors))
 
 
 def h2_presentation(chain: ChainData) -> H2Presentation:
-    K = intlin.kernel_basis(chain.d2)
+    reduction = intlin.column_hnf(chain.d2)
+    for arr in reduction:
+        arr.setflags(write=False)
+    _, V, Vinv, pivots = reduction
+    K = V[:, len(pivots) :]
     z = K.shape[1]
-    hnfK = intlin.column_hnf(K)
-    # boundary columns in kernel coordinates; duplicates and zero columns
-    # carry no extra span
-    nz = chain.d3[:, np.any(chain.d3 != 0, axis=0)]
-    cols = np.unique(nz, axis=1) if nz.size else nz
-    X = intlin.solve_batch_in_image(K, cols, hnf_data=hnfK)
-    # compress the many columns down to at most z before the Smith form
-    HX, _, pivX = intlin.column_hnf(X)
-    Xc = HX[:, : len(pivX)]
-    D, U, _ = intlin.smith_normal_form(Xc)
+    # boundary columns in kernel coordinates, compressed to at most z
+    # columns before the Smith form
+    X = intlin.exact_matmul(Vinv[len(pivots) :], _distinct_columns(chain.d3))
+    D, U, Uinv = intlin.smith_cokernel(intlin.hermite_basis(X))
     diag = [int(D[i, i]) for i in range(min(D.shape))] + [0] * (z - min(D.shape))
     if any(d == 0 for d in diag):
         raise VerificationError("H2 of a finite group must be finite")
     rho = [i for i, d in enumerate(diag) if d >= 2]
-    factors = tuple(diag[i] for i in rho)
-    W = np.asarray(U)[rho, :]
-    Uinv = intlin.unimodular_inverse(U)
-    cycles = intlin.exact_matmul(K, np.asarray(Uinv)[:, rho])
     return H2Presentation(
         chain=chain,
         kernel=K,
-        kernel_hnf=hnfK,
-        invariant_factors=factors,
-        reduce_rows=W,
-        cycles=cycles,
+        d2_reduction=reduction,
+        invariant_factors=tuple(diag[i] for i in rho),
+        reduce_rows=U[rho, :],
+        cycles=intlin.exact_matmul(K, Uinv[:, rho]),
     )
 
 
@@ -292,10 +298,11 @@ def make_splitting(
         raise ValueError("presentation belongs to a different chain")
     K = pres.kernel
     z = K.shape[1]
-    Hd2, Vd2, piv2 = intlin.column_hnf(chain.d2)
+    Hd2, Vd2, Vinv, piv2 = pres.d2_reduction
     rb = len(piv2)
     Hb = Hd2[:, :rb]
     S = Vd2[:, :rb]
+    T = Vinv[:rb]  # d2 in B1 coordinates: d2 = Hb @ T
     if seed is None:
         R = np.zeros((z, rb), dtype=np.int64)
     else:
@@ -304,13 +311,13 @@ def make_splitting(
         S = S + intlin.exact_matmul(K, R)
     if not np.array_equal(intlin.exact_matmul(chain.d2, S), Hb):
         raise VerificationError("sigma does not split d2")
-    T = intlin.solve_batch_in_image(Hb, chain.d2)  # d2 in B1 coordinates
     n2 = chain.m * chain.m
     eye = np.eye(n2, dtype=np.int64)
     pi = eye - intlin.exact_matmul(S, T)
     if np.any(intlin.exact_matmul(chain.d2, pi)):
         raise VerificationError("pi does not land in the cycle lattice")
-    P = intlin.solve_batch_in_image(K, pi, hnf_data=pres.kernel_hnf)
+    # kernel coordinates of pi = id - (S0 + K R) T, since Y S0 = 0, Y K = I
+    P = Vinv[rb:] - intlin.exact_matmul(R, T)
     pibar = intlin.exact_matmul(pres.reduce_rows, P)
     d = np.array(pres.invariant_factors, dtype=object).reshape(-1, 1)
     if len(pres.invariant_factors):

@@ -1,13 +1,16 @@
-"""Exact integer linear algebra: Smith/Hermite normal forms, local Smith
-forms modulo p^k, kernels, integer solves, and the invariant-factor
+"""Exact integer linear algebra: Smith/Hermite normal forms with their
+transforms, local Smith forms modulo p^k, kernels, and the invariant-factor
 calculus of finitely generated abelian groups (direct sums, Ext,
 torsion-free quotients).
 
-Matrices are 2-D numpy arrays.  The Smith and column-Hermite reductions,
-and the kernels, solves and inverses built on them, run on object-dtype
-arrays of Python ints, so no entry can overflow and every matrix they
-return has object dtype.  `exact_matmul` keeps int64 products whose
-accumulators provably fit and switches to Python ints otherwise;
+Matrices are 2-D numpy arrays.  The Smith and column-Hermite reductions
+run on object-dtype arrays of Python ints, so no entry can overflow and
+every matrix they return has object dtype.  A reduction can also carry the
+inverse of the transform it builds, mirroring each elementary operation;
+coordinates in a lattice basis the reduction produced are then products
+with that inverse, not solves, and one exact product (transform times
+inverse equals I) certifies them all.  `exact_matmul` keeps int64 products
+whose accumulators provably fit and switches to Python ints otherwise;
 `local_smith_valuations` works modulo p^k in int64.
 """
 
@@ -18,7 +21,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .errors import NoSolutionError
+from .errors import VerificationError
 
 
 def backend_name() -> str:
@@ -40,26 +43,22 @@ def as_int_matrix(data) -> np.ndarray:
     return arr
 
 
-def _swap_rows(M, T, i, j):
-    """Swap rows i and j of M and, unless T is None, of T."""
-    M[[i, j]] = M[[j, i]]
-    if T is not None:
-        T[[i, j]] = T[[j, i]]
+def _swap_rows(M, i, j):
+    """Swap rows i and j of M in place, unless M is None."""
+    if M is not None:
+        M[[i, j]] = M[[j, i]]
 
 
-def _swap_cols(M, T, i, j):
-    """Swap columns i and j of M and, unless T is None, of T."""
-    M[:, [i, j]] = M[:, [j, i]]
-    if T is not None:
-        T[:, [i, j]] = T[:, [j, i]]
+def _swap_cols(M, i, j):
+    """Swap columns i and j of M in place, unless M is None."""
+    if M is not None:
+        M[:, [i, j]] = M[:, [j, i]]
 
 
-def _snf_core(D, U, V):
-    """Reduce D in place to Smith form; accumulate U (rows) and V (cols).
-
-    On entry U and V are identities, or None when not tracked.  Maintains
-    D = U0 @ D_in @ V0 with U0, V0 unimodular.
-    """
+def _snf_core(D, U, Uinv, V):
+    """Reduce D in place to Smith form D = U @ D_in @ V, U and V unimodular,
+    and keep Uinv = U^-1 (each row operation E on U mirrored as Uinv @ E^-1).
+    On entry each transform is an identity, or None when not tracked."""
     r, c = D.shape
     t = 0
     while t < r and t < c:
@@ -72,14 +71,19 @@ def _snf_core(D, U, V):
         flat = int(np.argmin(np.where(sub != 0, absd, top + 1)))
         pi, pj = t + flat // (c - t), t + flat % (c - t)
         if pi != t:
-            _swap_rows(D, U, pi, t)
+            _swap_rows(D, pi, t)
+            _swap_rows(U, pi, t)
+            _swap_cols(Uinv, pi, t)
         if pj != t:
-            _swap_cols(D, V, pj, t)
+            _swap_cols(D, pj, t)
+            _swap_cols(V, pj, t)
         while True:
             if D[t, t] < 0:
                 D[t, :] = -D[t, :]
                 if U is not None:
                     U[t, :] = -U[t, :]
+                if Uinv is not None:
+                    Uinv[:, t] = -Uinv[:, t]
             # Row ops until column t is clean below the pivot.
             while True:
                 swapped = False
@@ -91,9 +95,13 @@ def _snf_core(D, U, V):
                             D[i, t:] -= q * D[t, t:]
                             if U is not None:
                                 U[i, :] -= q * U[t, :]
+                            if Uinv is not None:
+                                Uinv[:, t] += q * Uinv[:, i]
                         if D[i, t] != 0:
                             # Remainder in (0, d): promote it to the pivot.
-                            _swap_rows(D, U, i, t)
+                            _swap_rows(D, i, t)
+                            _swap_rows(U, i, t)
+                            _swap_cols(Uinv, i, t)
                             swapped = True
                             break
                 if not swapped:
@@ -113,7 +121,8 @@ def _snf_core(D, U, V):
                             if V is not None:
                                 V[:, j] -= q * V[:, t]
                         if D[t, j] != 0:
-                            _swap_cols(D, V, j, t)
+                            _swap_cols(D, j, t)
+                            _swap_cols(V, j, t)
                             swapped = True
                             col_swapped = True
                             break
@@ -133,29 +142,48 @@ def _snf_core(D, U, V):
                     D[t, t:] += D[i, t:]
                     if U is not None:
                         U[t, :] += U[i, :]
+                    if Uinv is not None:
+                        Uinv[:, i] -= Uinv[:, t]
                     continue
             break
         t += 1
 
 
-def _run_snf(M, track_u: bool, track_v: bool):
+def _certify_inverse(A, Ainv) -> None:
+    """Exact certificate that Ainv is the inverse of the transform A."""
+    if not np.array_equal(exact_matmul(A, Ainv), np.eye(A.shape[0], dtype=np.int64)):
+        raise VerificationError("transform and accumulated inverse do not multiply to I")
+
+
+def _run_snf(M, track_u: bool, track_uinv: bool, track_v: bool):
     D = as_int_matrix(M).astype(object)
     r, c = D.shape
-    U = np.eye(r, dtype=object) if track_u else None
-    V = np.eye(c, dtype=object) if track_v else None
-    _snf_core(D, U, V)
-    return D, U, V
+    U, Uinv, V = (np.eye(n, dtype=object) if on else None
+                  for n, on in ((r, track_u), (r, track_uinv), (c, track_v)))
+    _snf_core(D, U, Uinv, V)
+    return D, U, Uinv, V
 
 
 def smith_normal_form(M):
     """Return (D, U, V) with D = U @ M @ V, U and V unimodular, and D
     diagonal with a divisibility chain d1 | d2 | ... of nonneg entries."""
-    return _run_snf(M, True, True)
+    D, U, _, V = _run_snf(M, True, False, True)
+    return D, U, V
+
+
+def smith_cokernel(M):
+    """The Smith form D = U @ M @ V of smith_normal_form with U and its
+    inverse Uinv (certified U @ Uinv = I), not V.  They present coker(M) as
+    the sum of Z/D[i, i]: U[i] @ x is coordinate i of the class of x, and
+    column i of Uinv represents generator i."""
+    D, U, Uinv, _ = _run_snf(M, True, True, False)
+    _certify_inverse(U, Uinv)
+    return D, U, Uinv
 
 
 def smith_diagonal(M) -> list[int]:
     """Just the diagonal of the Smith form (no transform bookkeeping)."""
-    D, _, _ = _run_snf(M, False, False)
+    D, _, _, _ = _run_snf(M, False, False, False)
     n = min(D.shape)
     return [int(D[i, i]) for i in range(n)]
 
@@ -219,9 +247,10 @@ def local_smith_valuations(M, p: int, k: int) -> list[int]:
     return vals
 
 
-def _hnf_core(H, V) -> list[int]:
-    """Column-echelon Hermite reduction in place: H_out = H_in @ V_out,
-    with V the identity on entry.
+def _hnf_core(H, V, Vinv) -> list[int]:
+    """Column-echelon Hermite reduction in place: H_out = H_in @ V_out and
+    Vinv = V^-1 (each column operation E on V mirrored as E^-1 @ Vinv).  On
+    entry V and Vinv are identities, or None when not tracked.
 
     Pivot columns come first, with strictly increasing pivot rows (the
     returned list); pivots are positive; entries left of a pivot in its
@@ -229,6 +258,14 @@ def _hnf_core(H, V) -> list[int]:
     """
     r, c = H.shape
     pivot_rows: list[int] = []
+
+    def subtract(j, q, k):  # column j -= q * column k
+        H[:, j] -= q * H[:, k]
+        if V is not None:
+            V[:, j] -= q * V[:, k]
+        if Vinv is not None:
+            Vinv[k, :] += q * Vinv[j, :]
+
     k = 0
     for row in range(r):
         if k == c:
@@ -242,18 +279,22 @@ def _hnf_core(H, V) -> list[int]:
                 break
             j = k + int(np.argmin(np.where(strip != 0, absd, top + 1)))
             if j != k:
-                _swap_cols(H, V, j, k)
+                _swap_cols(H, j, k)
+                _swap_cols(V, j, k)
+                _swap_rows(Vinv, j, k)
             if H[row, k] < 0:
                 H[:, k] = -H[:, k]
-                V[:, k] = -V[:, k]
+                if V is not None:
+                    V[:, k] = -V[:, k]
+                if Vinv is not None:
+                    Vinv[k, :] = -Vinv[k, :]
             d = H[row, k]
             any_rem = False
             for j in range(k + 1, c):
                 if H[row, j] != 0:
                     q = H[row, j] // d
                     if q != 0:
-                        H[:, j] -= q * H[:, k]
-                        V[:, j] -= q * V[:, k]
+                        subtract(j, q, k)
                     if H[row, j] != 0:
                         any_rem = True
             if not any_rem:
@@ -263,110 +304,55 @@ def _hnf_core(H, V) -> list[int]:
             for l in range(k):
                 q = H[row, l] // d
                 if q != 0:
-                    H[:, l] -= q * H[:, k]
-                    V[:, l] -= q * V[:, k]
+                    subtract(l, q, k)
             pivot_rows.append(row)
             k += 1
     return pivot_rows
 
 
-def column_hnf(M):
-    """Return (H, V, pivot_rows) with H = M @ V in column-echelon Hermite
-    form: positive pivots at strictly increasing rows, entries left of each
-    pivot reduced into [0, pivot), trailing columns zero."""
+def _run_hnf(M, track_v: bool, track_vinv: bool):
     H = as_int_matrix(M).astype(object)
-    V = np.eye(H.shape[1], dtype=object)
-    pivots = _hnf_core(H, V)
-    return H, V, np.array(pivots, dtype=np.int64)
+    V, Vinv = (np.eye(H.shape[1], dtype=object) if on else None for on in (track_v, track_vinv))
+    return H, V, Vinv, _hnf_core(H, V, Vinv)
+
+
+def column_hnf(M):
+    """Return (H, V, Vinv, pivot_rows) with H = M @ V in column-echelon
+    Hermite form (positive pivots at strictly increasing rows, entries left
+    of each pivot reduced into [0, pivot), trailing columns zero) and Vinv
+    the inverse of V, certified V @ Vinv = I.  Split at k = len(pivot_rows),
+    V = [S | K] and Vinv = [T; Y]: K is a basis of the integer kernel of M,
+    M = H[:, :k] @ T, and Y @ x gives the K coordinates of a kernel vector x.
+    """
+    H, V, Vinv, pivots = _run_hnf(M, True, True)
+    _certify_inverse(V, Vinv)
+    return H, V, Vinv, np.array(pivots, dtype=np.int64)
+
+
+def hermite_basis(M) -> np.ndarray:
+    """The nonzero columns of the column Hermite form of M: the canonical
+    basis of its column lattice (no transform is tracked)."""
+    H, _, _, pivots = _run_hnf(M, False, False)
+    return H[:, : len(pivots)].copy()
 
 
 def kernel_basis(M) -> np.ndarray:
     """Columns form a basis of the integer kernel lattice {x : M x = 0}."""
-    _, V, pivots = column_hnf(M)
+    _, V, _, pivots = _run_hnf(M, True, False)
     return V[:, len(pivots) :].copy()
 
 
-def _echelon_solve(H, pivots, B):
-    """Solve H[:, :k] @ Z = B for the echelon H of column_hnf by forward
-    substitution on the pivot rows.  Returns Z (k x n) or raises
-    NoSolutionError."""
-    H = np.asarray(H, dtype=object)
-    B = np.asarray(B, dtype=object)
-    k = len(pivots)
-    Z = np.zeros((k, B.shape[1]), dtype=object)
-    for i in range(k):
-        p = int(pivots[i])
-        acc = B[p, :] - (H[p, :i] @ Z[:i, :] if i else 0)
-        d = H[p, i]
-        if np.any(acc % d != 0):
-            raise NoSolutionError("right-hand side outside the column lattice")
-        Z[i, :] = acc // d
-    if not np.array_equal(H[:, :k] @ Z, B):
-        raise NoSolutionError("right-hand side outside the column lattice")
-    return Z
-
-
-def solve_batch_in_image(M, B, hnf_data=None):
-    """Solve M @ X = B column by column (B is r x n); exact, deterministic
-    (free coordinates of the Hermite parameterization are zero).  Raises
-    NoSolutionError if any column lies outside the column lattice of M."""
-    A = as_int_matrix(M)
-    B = as_int_matrix(B)
-    if B.shape[0] != A.shape[0]:
-        raise ValueError("row count mismatch between matrix and right-hand side")
-    if hnf_data is None:
-        hnf_data = column_hnf(A)
-    H, V, pivots = hnf_data
-    Z = _echelon_solve(H, pivots, B)
-    return np.asarray(V[:, : len(pivots)], dtype=object) @ Z
-
-
-def solve_in_image(M, b):
-    """Solve M @ x = b for one integer vector b; raises NoSolutionError."""
-    b = np.asarray(b)
-    if b.ndim != 1:
-        raise ValueError("right-hand side must be a vector")
-    X = solve_batch_in_image(M, b.reshape(-1, 1))
-    return X[:, 0]
-
-
 def exact_matmul(A, B) -> np.ndarray:
-    """Integer matrix product, switching to Python ints when an int64
-    accumulator could overflow."""
+    """Integer matrix product in int64 when no accumulator can overflow, in
+    Python ints otherwise.  The result has object dtype when an input has."""
     A = np.asarray(A)
     B = np.asarray(B)
-    if A.dtype == object or B.dtype == object:
-        return A.astype(object) @ B.astype(object)
     maxA = int(np.max(np.abs(A))) if A.size else 0
     maxB = int(np.max(np.abs(B))) if B.size else 0
-    if maxA * maxB * max(A.shape[1], 1) > (1 << 62):
+    if max(maxA, 1) * max(maxB, 1) * max(A.shape[1], 1) > (1 << 62):
         return A.astype(object) @ B.astype(object)
-    return A @ B
-
-
-def unimodular_inverse(Umat) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix (via Hermite reduction:
-    the column transform that sends U to the identity is its inverse)."""
-    A = as_int_matrix(Umat)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("matrix is not square")
-    H, V, pivots = column_hnf(A)
-    if len(pivots) != n or any(H[i, i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    # H = A @ V with H lower-triangular, unit diagonal; clear the strictly
-    # lower part with further column ops to reach the identity exactly.
-    # Ascending rows: clearing row i with column i only dirties rows > i,
-    # which later passes clean.
-    for i in range(1, n):
-        for j in range(i):
-            q = H[i, j]
-            if q != 0:
-                H[:, j] -= q * H[:, i]
-                V[:, j] -= q * V[:, i]
-    if not np.array_equal(H, np.eye(n, dtype=object)):
-        raise ValueError("matrix is not unimodular")
-    return V
+    C = A.astype(np.int64) @ B.astype(np.int64)
+    return C.astype(object) if A.dtype == object or B.dtype == object else C
 
 
 @dataclass(frozen=True)

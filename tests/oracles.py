@@ -47,6 +47,13 @@ def greedy_generators(G: groups.FiniteGroup) -> list[int]:
     return gens
 
 
+def _kernel_with_coordinates(M):
+    """(K, Y): the columns of K are a basis of the integer kernel of M, and
+    Y @ x gives the K coordinates of every kernel vector x."""
+    _, V, Vinv, pivots = intlin.column_hnf(M)
+    return V[:, len(pivots) :], Vinv[len(pivots) :]
+
+
 def hopf_h2(G: groups.FiniteGroup) -> intlin.AbelianInvariants:
     """H2 of a finite group from the relation module of a generating set.
 
@@ -68,9 +75,8 @@ def hopf_h2(G: groups.FiniteGroup) -> intlin.AbelianInvariants:
         for h in range(m):
             Phi[G.mul(h, x), t * m + h] += 1
             Phi[h, t * m + h] -= 1
-    Kb = intlin.kernel_basis(Phi)  # (g*m, z), a Z-basis of R
+    Kb, coords = _kernel_with_coordinates(Phi)  # (g*m, z), a Z-basis of R
     z = Kb.shape[1]
-    hnf = intlin.column_hnf(Kb)
 
     # left G-action permutes basis columns: s.(t, h) = (t, s h)
     def act(s, M):
@@ -85,15 +91,17 @@ def hopf_h2(G: groups.FiniteGroup) -> intlin.AbelianInvariants:
         moved = act(s, Kb)
         rel_cols.append(Kb - moved)
     Rel = np.hstack(rel_cols)  # columns live in R
-    W = intlin.solve_batch_in_image(Kb, Rel, hnf_data=hnf)  # R coords, (z, .)
+    assert not np.any(intlin.exact_matmul(Phi, Rel))
+    W = intlin.exact_matmul(coords, Rel)  # R coords, (z, .)
 
     # coinvariant map to Z^g: per-generator coordinate sums
     Mu = np.zeros((g, z), dtype=np.int64)
     for t in range(g):
         Mu[t] = Kb[t * m : (t + 1) * m, :].sum(axis=0)
-    N = intlin.kernel_basis(Mu)  # (z, k): ker(mu) in R coords
+    N, n_coords = _kernel_with_coordinates(Mu)  # (z, k): ker(mu) in R coords
     # relations already map to zero under mu, so they lift
-    Y = intlin.solve_batch_in_image(N, W)
+    assert not np.any(intlin.exact_matmul(Mu, W))
+    Y = intlin.exact_matmul(n_coords, W)
     out = intlin.invariants_from_diagonal(intlin.smith_diagonal(Y), N.shape[1])
     assert out.free_rank == 0, "H2 of a finite group must be finite"
     return out

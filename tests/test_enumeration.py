@@ -198,12 +198,24 @@ EXTENSION_DIGESTS = {
         "0b2bf975012f4c22", "9f221ee58c48c648", "f41726d325b43a1e", "ffb348c8f0b974d3",
         "3ff9db9a99c789f3", "f167900f31a47326", "32f5b9457b92a5b1", "c2791b1c9c7a2546",
     ],
+    # seeded splittings add K @ R, so these pin the cycle basis K, and on
+    # Z/2+Z/2+Z/4 (H2 = Z/2^3) the H2 basis as well
+    "Z/2+Z/4": [
+        "c6a884a854eea103", "56bba6a8002b513c", "bd1a975de69e2f3d", "5fdc665a203131e5",
+        "3f82c8ba6ee31651", "ca26f26e8debaa93", "454f2f201b5f4bde", "5cd7f814649a9761",
+    ],
+    "Z/2+Z/2+Z/4": [
+        "5f7b484e25aa628b", "bd8693e538fd2d20", "1403a0227e463519", "3f3cfd12dfa98dca",
+        "f49fd1913f2c7b8e", "846b53440bc08bcd", "bfc7509c755179cc", "59d63ecb1182d63c",
+    ],
 }
 
 _EXT_BASES = {
     "klein": groups.klein,
     "dihedral(4)": lambda: groups.dihedral(4),
     "Z/2+Z/2+Z/2": lambda: abelian_group((2, 2, 2)),
+    "Z/2+Z/4": lambda: abelian_group((2, 4)),
+    "Z/2+Z/2+Z/4": lambda: abelian_group((2, 2, 4)),
 }
 
 

@@ -66,6 +66,17 @@ class TestConstruction:
             ]
             groups.FiniteGroup(base)
 
+    def test_switched_intercalate_rejected(self):
+        # Z/702 with the 2x2 subsquare at rows and columns {1, 352} switched:
+        # still a Latin square with identity 0, and 11168 of its triples are
+        # not associative, too few for a sampled check to meet
+        m = 702
+        tbl = (np.arange(m)[:, None] + np.arange(m)) % m
+        cells = np.ix_([1, 352], [1, 352])
+        tbl[cells] = np.where(tbl[cells] == 2, 353, 2)
+        with pytest.raises(InvalidGroupError, match="associative"):
+            groups.group_from_json({"order": m, "table": tbl.tolist()})
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             groups.cyclic(0)

@@ -11,7 +11,7 @@ from oracles import (
     relabeled,
 )
 from twistkit import groups, homology, intlin
-from twistkit.errors import ResourceCapError
+from twistkit.errors import NoSolutionError, ResourceCapError
 
 SMALL = [
     groups.klein(),
@@ -121,6 +121,16 @@ class TestHomologyGroups:
             # boundaries are null-homologous
             for c in range(0, chain.d3.shape[1], 7):
                 assert pres.h2_coordinates(chain.d3[:, c]) == (0,) * k
+
+    def test_coordinates_of_a_non_cycle_rejected(self):
+        chain = homology.build_chain(groups.klein())
+        pres = homology.h2_presentation(chain)
+        pair = np.zeros(16, dtype=np.int64)
+        pair[chain.pair_index(1, 2)] = 1  # d2 of a basis pair is never 0 off the identity
+        with pytest.raises(NoSolutionError):
+            pres.h2_coordinates(pair)
+        with pytest.raises(NoSolutionError):
+            pres.h2_coordinates(pres.cycles[:, 0] + pair)
 
 
 class TestSplitting:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistkit import intlin
-from twistkit.errors import NoSolutionError
 
 
 def _check_snf(M):
@@ -28,17 +27,26 @@ def _check_snf(M):
         for j in range(D.shape[1]):
             if i != j:
                 assert int(D[i, j]) == 0
-    # U, V unimodular: exact inverse exists
-    intlin.unimodular_inverse(U)
-    intlin.unimodular_inverse(V)
+    # U, V unimodular
+    assert intlin.smith_diagonal(U) == [1] * U.shape[0]
+    assert intlin.smith_diagonal(V) == [1] * V.shape[0]
+    # the cokernel form is the same reduction, with U's exact inverse
+    D2, U2, Uinv = intlin.smith_cokernel(A)
+    assert np.array_equal(D2, D) and np.array_equal(U2, U)
+    assert np.array_equal(U.astype(object) @ Uinv, np.eye(U.shape[0], dtype=object))
     return diag
 
 
 def _check_hnf(M):
     A = intlin.as_int_matrix(M)
-    H, V, pivots = intlin.column_hnf(A)
+    H, V, Vinv, pivots = intlin.column_hnf(A)
     assert np.array_equal(A.astype(object) @ V.astype(object), H.astype(object))
+    assert np.array_equal(V @ Vinv, np.eye(V.shape[0], dtype=object))
     k = len(pivots)
+    assert np.array_equal(intlin.hermite_basis(A), H[:, :k])
+    # Vinv = [T; Y]: A in the basis H[:, :k], and kernel coordinates
+    assert np.array_equal(H[:, :k] @ Vinv[:k], A.astype(object))
+    assert np.array_equal(Vinv[k:] @ V[:, k:], np.eye(V.shape[0] - k, dtype=object))
     prev = -1
     for i in range(k):
         p = int(pivots[i])
@@ -52,7 +60,6 @@ def _check_hnf(M):
         for q in range(p):
             assert int(H[q, i]) == 0
     assert not np.any(H[:, k:])
-    intlin.unimodular_inverse(V)
     return H, V, pivots
 
 
@@ -194,66 +201,48 @@ class TestHermiteForm:
         assert K.shape[1] == M.shape[1] - rank
 
 
-class TestSolve:
-    def test_even_target(self):
-        x = intlin.solve_in_image([[2]], np.array([4]))
-        assert list(x) == [2]
+class TestExactMatmul:
+    def test_small_entries_int64(self):
+        A = np.array([[1, -2], [3, 4]], dtype=np.int64)
+        C = intlin.exact_matmul(A, A)
+        assert C.dtype == np.int64
+        assert np.array_equal(C, A.astype(object) @ A.astype(object))
 
-    def test_odd_target_rejected(self):
-        with pytest.raises(NoSolutionError):
-            intlin.solve_in_image([[2]], np.array([3]))
+    def test_object_input_object_result(self):
+        A = np.array([[1, 2], [0, 1]], dtype=object)
+        C = intlin.exact_matmul(A, np.eye(2, dtype=np.int64))
+        assert C.dtype == object and np.array_equal(C, A)
 
-    def test_inconsistent_rejected(self):
-        M = np.array([[1, 0], [1, 0]], dtype=np.int64)
-        with pytest.raises(NoSolutionError):
-            intlin.solve_in_image(M, np.array([1, 2]))
-
-    def test_batch_reuses_hnf(self):
-        M = np.array([[2, 1], [0, 3]], dtype=np.int64)
-        hnf = intlin.column_hnf(M)
-        B = M @ np.array([[1, -2, 7], [0, 5, -1]], dtype=np.int64)
-        X = intlin.solve_batch_in_image(M, B, hnf_data=hnf)
-        assert np.array_equal(M @ X, B)
-
-    def test_big_rhs_exact(self):
-        M = np.array([[10**25, 2 * 10**25, 5], [0, 10**12, 10**12]], dtype=object)
-        b = M @ np.array([10**9, -3, 2], dtype=object)
-        x = intlin.solve_in_image(M, b)
-        assert np.array_equal(M @ x, b)
-
-    @settings(max_examples=100, deadline=None)
-    @given(matrices, st.integers(0, 2**32))
-    def test_solve_round_trip(self, rows, seed):
-        M = np.array(rows, dtype=np.int64)
-        rng = np.random.default_rng(seed)
-        w = rng.integers(-9, 10, size=M.shape[1])
-        b = M @ w
-        x = intlin.solve_in_image(M, b)
-        assert np.array_equal(M @ x, b)
+    def test_past_int64_falls_back(self):
+        A = np.array([[2**40, 2**40]], dtype=np.int64)
+        C = intlin.exact_matmul(A, A.T)
+        assert C.dtype == object and C[0, 0] == 2**81
+        big = np.array([[10**30]], dtype=object)
+        assert intlin.exact_matmul(big, big)[0, 0] == 10**60
 
 
 class TestUnimodularInverse:
     def test_round_trip(self):
+        # the Hermite form of a unimodular U is I, so V = U^-1 and Vinv = U
         U = np.array([[1, 2], [0, 1]], dtype=np.int64)
-        W = intlin.unimodular_inverse(U)
-        assert np.array_equal(U.astype(object) @ W, np.eye(2, dtype=object))
-
-    def test_rejects_singular(self):
-        with pytest.raises(ValueError):
-            intlin.unimodular_inverse([[2, 0], [0, 1]])
+        H, V, Vinv, _ = intlin.column_hnf(U)
+        assert np.array_equal(H, np.eye(2, dtype=object))
+        assert np.array_equal(U.astype(object) @ V, np.eye(2, dtype=object))
+        assert np.array_equal(Vinv, U)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2**32))
     def test_random_unimodular(self, n, seed):
-        # build one from elementary operations, invert it back
+        # build one from elementary operations; the reduction inverts it back
         rng = np.random.default_rng(seed)
         U = np.eye(n, dtype=np.int64)
         for _ in range(3 * n):
             i, j = rng.integers(0, n, size=2)
             if i != j:
                 U[i, :] += int(rng.integers(-3, 4)) * U[j, :]
-        W = intlin.unimodular_inverse(U)
-        assert np.array_equal(U.astype(object) @ W, np.eye(n, dtype=object))
+        _, V, Vinv, _ = intlin.column_hnf(U)
+        assert np.array_equal(U.astype(object) @ V, np.eye(n, dtype=object))
+        assert np.array_equal(Vinv, U)
 
 
 class TestAbelianInvariants:
@@ -329,11 +318,11 @@ class TestBackends:
     def test_results_are_object_arrays(self, shape):
         M = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
         D, U, V = intlin.smith_normal_form(M)
-        H, W, pivots = intlin.column_hnf(M)
-        X = intlin.solve_batch_in_image(M, np.zeros((shape[0], 2), dtype=np.int64))
+        _, Uc, Uinv = intlin.smith_cokernel(M)
+        H, W, Winv, pivots = intlin.column_hnf(M)
         outputs = {
-            "D": D, "U": U, "V": V, "H": H, "W": W, "X": X,
-            "kernel": intlin.kernel_basis(M),
+            "D": D, "U": U, "V": V, "Uc": Uc, "Uinv": Uinv, "H": H, "W": W, "Winv": Winv,
+            "kernel": intlin.kernel_basis(M), "basis": intlin.hermite_basis(M),
         }
         for name, out in outputs.items():
             assert out.dtype == object, f"{name} of a {shape} matrix has dtype {out.dtype}"
