@@ -30,7 +30,7 @@ from . import bounds as bnd
 from . import descriptors as dsc
 from .cocycles import Cocycle2, builtin_cocycle, cocycle_from_json, trivial_cocycle
 from .errors import TwistkitError
-from .extensions import classify_extension, extension_report, sample_extension
+from .extensions import check_classify_cap, classify_extension, extension_report, sample_extension
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -170,6 +170,7 @@ def _cmd_extend(args):
 
 def _cmd_classify(args):
     G = load_group(args.group)
+    check_classify_cap(h2(G).order() * G.order)  # before the exact extension work
     ext = sample_extension(G, seed=args.seed)
     cls = classify_extension(ext)
     doc = {"class": cls.label, "order4_lifts": list(cls.order4_lifts)}

@@ -211,6 +211,13 @@ def _canonical_fingerprint(G: FiniteGroup) -> str:
     return "unclassified:" + hashlib.sha256(best).hexdigest()[:16]
 
 
+def check_classify_cap(order: int) -> None:
+    """Refuse to classify a total group above CLASSIFY_CAP; the order is
+    |H2(G)| |G|, known from homology.h2 before any extension is built."""
+    if order > CLASSIFY_CAP:
+        raise ResourceCapError(f"classification capped at order {CLASSIFY_CAP}, got {order}")
+
+
 def classify_extension(ext: CentralExtension) -> ExtensionClass:
     """Label the total group up to isomorphism.
 
@@ -220,8 +227,7 @@ def classify_extension(ext: CentralExtension) -> ExtensionClass:
     4 in the quaternion case Q8.
     """
     E = ext.total
-    if E.order > CLASSIFY_CAP:
-        raise ResourceCapError(f"classification capped at order {CLASSIFY_CAP}, got {E.order}")
+    check_classify_cap(E.order)
     lifts: tuple[int, ...] = ()
     if np.array_equal(ext.base.table, klein().table):
         orders = element_orders(E)

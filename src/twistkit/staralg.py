@@ -1,9 +1,26 @@
-"""Finite-dimensional *-algebras over C, given concretely by matrices.
+"""Finite-dimensional *-algebras over C, given by disjoint monomial families.
 
-An algebra is a linearly independent family of basis matrices closed
-(numerically) under product and adjoint, together with a distinguished
-trace.  Everything downstream reduces to one primitive: the block profile,
-the multiset of simple block dimensions {d_1 <= ... <= d_k} obtained by
+An algebra is a basis of D x D matrices closed (numerically) under product
+and adjoint, together with a distinguished trace.  Every basis built here
+is a *disjoint monomial family*: each matrix has at most one nonzero entry
+in every row and every column, and no two matrices share a nonzero
+position.  The u_g of a twisted regular representation, matrix units,
+tensor products, crossed products, induced algebras and the fibers over
+central characters are all of this kind, and StarAlgebra accepts nothing
+else.  It works from the supports, never from a decomposition of the
+dense basis:
+
+- independence is exact: the supports are nonempty and pairwise disjoint;
+- coordinates are a gather over the supports, and the reconstruction's
+  residual must stay within TOL times the largest input entry;
+- the product of two basis matrices composes their row-to-column index
+  maps, so closure, adjoints and positivity of the trace's Gram matrix
+  are checked for every pair, in chunks, and the products' coordinates
+  are kept as sparse structure constants;
+- the center is the null space of (2n, n) commutator coordinates.
+
+Everything downstream reduces to one primitive: the block profile, the
+multiset of simple block dimensions {d_1 <= ... <= d_k} obtained by
 spectrally splitting a random self-adjoint central element.  Twisted group
 algebras, crossed products by twisted actions, fibers over central
 characters, induction over a subgroup, and stabilization are all built on
@@ -37,10 +54,9 @@ EIG_GAP = 1e-6
 MAX_RETRIES = 8
 CROSSED_CAP = 4096
 
-# the closure check forms all n^2 pair products while that stack holds at
-# most this many entries (n^2 D^2), and _SAMPLED_PAIRS random pairs above it
-_PAIR_STACK_LIMIT = 4_000_000
-_SAMPLED_PAIRS = 1024
+# index compositions and commutator scatters run in chunks of about this many
+# entries, so that each chunk's index and value arrays are a few hundred KB
+_CHUNK = 1 << 16
 
 
 def _phase(angle):
@@ -55,17 +71,25 @@ def _pair_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X.reshape(-1, D) @ Y.transpose(1, 0, 2).reshape(D, -1)).reshape(len(X), D, len(Y), D)
 
 
+def _bincount_complex(keys: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sum of the complex weights at each key in range(size)."""
+    return np.bincount(keys, weights.real, size) + 1j * np.bincount(keys, weights.imag, size)
+
+
 class StarAlgebra:
     """A concrete *-algebra: basis matrices, a trace, and a label.
 
-    basis: (n, D, D) complex, linearly independent, spanning a subalgebra
-    of M_D closed under adjoint.  trace_vector[i] is the trace of basis[i];
-    the trace is required to be normalized (trace(1) = 1) when the span
-    contains the identity.  Construction re-checks all of this, sampling
-    product pairs once the full n^2 sweep gets large.
+    basis: (n, D, D) complex, a disjoint monomial family spanning a
+    subalgebra of M_D closed under adjoint.  trace_vector[i] is the trace
+    of basis[i]; the trace is required to be normalized (trace(1) = 1) and
+    positive on the Gram matrix when the span contains the identity.
+    Construction checks all of this on every pair of basis elements and
+    keeps the structure constants: b_i b_j has coefficient coef at b_t for
+    each entry of structure = (pair, t, coef) with pair = i * n + j; a pair
+    with a zero product has no entry.
     """
 
-    def __init__(self, basis, trace_vector, label: str = "", check: bool = True):
+    def __init__(self, basis, trace_vector, label: str = ""):
         basis = np.ascontiguousarray(np.asarray(basis, dtype=np.complex128))
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2] or basis.shape[0] == 0:
             raise ValueError("basis must be a nonempty (n, D, D) array")
@@ -75,34 +99,65 @@ class StarAlgebra:
         self.trace_vector = np.asarray(trace_vector, dtype=np.complex128)
         if self.trace_vector.shape != (self.dim,):
             raise ValueError("trace vector length must match the basis")
-        flat = basis.reshape(self.dim, -1).T  # (D^2, n)
-        # one SVD serves the independence test and the pseudo-inverse
-        U, sv, Vh = np.linalg.svd(flat, full_matrices=False)
-        if sv[-1] <= sv[0] * 1e-10:
-            raise ValueError("basis matrices are linearly dependent")
-        self._flat = flat
-        self._pinv = (Vh.conj().T / sv) @ U.conj().T
-        del U  # as large as the basis, and the closure check below is the peak
+        self._index_supports()
         self.unit_coords = self._find_unit()
-        if check:
-            self._check_closure()
+        self._check_closure()
+
+    def _index_supports(self):
+        """Certify a disjoint monomial family and index its supports."""
+        n, D = self.dim, self.rep_dim
+        owner, row, col = np.nonzero(self.basis)  # grouped by owner
+        size = np.bincount(owner, minlength=n)
+        if size.min() == 0:
+            raise ValueError(f"basis matrix {int(np.argmin(size))} is zero, so the basis is linearly dependent")
+        if np.bincount(row * D + col, minlength=D * D).max() > 1:
+            raise ValueError("basis is not a disjoint monomial family: two matrices share a nonzero position")
+        if max(np.bincount(owner * D + row).max(), np.bincount(owner * D + col).max()) > 1:
+            raise ValueError("basis is not a disjoint monomial family: a row or column holds two nonzeros")
+        val = self.basis[owner, row, col]
+        norm = np.bincount(owner, np.abs(val) ** 2, n)
+        self._owner_of, self._pos, self._val = owner, row * D + col, val
+        self._start = np.cumsum(size) - size  # where each support begins
+        self._size = size
+        self._weight = np.conj(val) / norm[owner]  # coords_i(M) = sum of weight * M over supp(b_i)
+        self.entry_max = np.maximum.reduceat(np.abs(val), self._start)
+        # trace of x -> p x is sum_r p[r, r] row_weight[r] (see multiplier_trace)
+        self._row_weight = np.bincount(row, np.abs(val) ** 2 / norm[owner], D)
+        # index maps with column D standing for "no entry": row r of b_i holds
+        # rowval[i, r] in column col[i, r]; position (r, c) is owned by owner[r, c]
+        self._col = np.full((n, D + 1), D)
+        self._col[owner, row] = col
+        self._rowval = np.zeros((n, D + 1), dtype=np.complex128)
+        self._rowval[owner, row] = val
+        self._owner = np.full((D, D + 1), -1)
+        self._owner[row, col] = owner
+        self._entry = np.zeros((D, D + 1), dtype=np.complex128)
+        self._entry[row, col] = val
+        self._weight_at = np.zeros((D, D + 1), dtype=np.complex128)
+        self._weight_at[row, col] = self._weight
 
     # -- coordinates -------------------------------------------------------
 
     def element(self, coords) -> np.ndarray:
         """sum_i c_i b_i; a stack (..., n) of coordinates gives (..., D, D)."""
         c = np.asarray(coords, dtype=np.complex128)
-        return (c @ self.basis.reshape(self.dim, -1)).reshape(*c.shape[:-1], self.rep_dim, self.rep_dim)
+        out = np.zeros((*c.shape[:-1], self.rep_dim**2), dtype=np.complex128)
+        out[..., self._pos] = c[..., self._owner_of] * self._val
+        return out.reshape(*c.shape[:-1], self.rep_dim, self.rep_dim)
 
     def coords_batch(self, mats: np.ndarray, tol: float = TOL) -> np.ndarray:
         """Coordinates of a stack (k, D, D); raises if any falls off the span."""
-        vecs = mats.reshape(len(mats), -1).T  # (D^2, k)
-        C = self._pinv @ vecs
-        resid = np.abs(self._flat @ C - vecs).max() if len(mats) else 0.0
-        scale = max(1.0, float(np.abs(mats).max()) if mats.size else 1.0)
+        flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
+        if not len(flat):
+            return np.zeros((0, self.dim), dtype=np.complex128)
+        coords = np.add.reduceat(flat[:, self._pos] * self._weight, self._start, axis=1)
+        diff = flat.copy()
+        diff[:, self._pos] -= coords[:, self._owner_of] * self._val
+        resid = float(np.abs(diff).max())
+        scale = max(1.0, float(np.abs(flat).max()))
         if resid > tol * scale:
             raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
-        return C.T  # (k, n)
+        return coords
 
     def coords(self, mat: np.ndarray, tol: float = TOL) -> np.ndarray:
         return self.coords_batch(mat[None], tol)[0]
@@ -110,41 +165,110 @@ class StarAlgebra:
     def trace(self, coords) -> complex:
         return complex(np.dot(np.asarray(coords, dtype=np.complex128), self.trace_vector))
 
+    def multiplier_trace(self, p: np.ndarray) -> complex:
+        """Trace of the map x -> p x on the algebra, for p in the algebra.
+
+        Where b_i has the entry (r, c), the entry of p b_i is p[r, r] b_i[r, c],
+        so coords_i(p b_i) is the |b_i|^2-weighted mean of p's diagonal over
+        the rows of b_i."""
+        return complex(np.diagonal(p) @ self._row_weight)
+
+    def commutators(self, z) -> np.ndarray:
+        """Coordinates of [b_i, z] for every i, from the structure constants:
+        z of shape (n,) or (n, m) gives an (n, n, m) array indexed [t, i, :]."""
+        n = self.dim
+        z = np.asarray(z, dtype=np.complex128).reshape(n, -1)
+        m = z.shape[1]
+        pair, t, coef = self.structure
+        i, j = np.divmod(pair, n)
+        keys = np.concatenate([t * n + i, t * n + j])  # b_i b_j is in [b_i, z] and in [b_j, z]
+        weights = np.concatenate([coef[:, None] * z[j], -coef[:, None] * z[i]])
+        flat_keys = (keys[:, None] * m + np.arange(m)).ravel()
+        return _bincount_complex(flat_keys, weights.ravel(), n * n * m).reshape(n, n, m)
+
     def _find_unit(self):
-        eye = np.eye(self.rep_dim, dtype=np.complex128)
-        c = self._pinv @ eye.reshape(-1)
-        if np.abs(self._flat @ c - eye.reshape(-1)).max() <= TOL:
-            return c
-        return None
+        try:
+            return self.coords_batch(np.eye(self.rep_dim, dtype=np.complex128)[None])[0]
+        except ValueError:
+            return None
 
     # -- validation --------------------------------------------------------
 
+    def _monomial_coords(self, col: np.ndarray, val: np.ndarray):
+        """Coordinates of k monomial matrices given by rows (row r of matrix
+        a holds val[a, r] in column col[a, r]; column D marks an empty row).
+
+        Returns (key, coef, resid, scale): matrix a has coordinate coef at
+        b_t for each key = a * n + t, in ascending key order; resid is the
+        largest entry of the reconstruction's residual and scale the largest
+        input entry."""
+        n = self.dim
+        rows = np.arange(self.rep_dim)
+        own = self._owner[rows, col]  # -1 on empty rows and unowned positions
+        hit = own >= 0
+        key, inv = np.unique((np.arange(len(col))[:, None] * n + own)[hit], return_inverse=True)
+        coef = _bincount_complex(inv, (self._weight_at[rows, col] * val)[hit], len(key))
+        hits = np.bincount(inv, minlength=len(key))
+        resid = max(
+            float(np.abs(val[~hit]).max(initial=0.0)),
+            float(np.abs(val[hit] - coef[inv] * self._entry[rows, col][hit]).max(initial=0.0)),
+        )
+        # a matrix that meets supp(b_t) but misses part of it leaves coef * b_t there
+        short = np.flatnonzero(hits < self._size[key % n])
+        if len(short):
+            a, t = np.divmod(key[short], n)
+            size = self._size[t]
+            item = np.repeat(np.arange(len(short)), size)
+            p = np.arange(size.sum()) + np.repeat(self._start[t] - (np.cumsum(size) - size), size)
+            r, c = np.divmod(self._pos[p], self.rep_dim)
+            gap = np.abs(coef[short][item]) * np.abs(self._val[p])
+            resid = max(resid, float(gap[col[a[item], r] != c].max(initial=0.0)))
+        return key, coef, resid, max(1.0, float(np.abs(val).max(initial=0.0)))
+
     def _check_closure(self):
+        """Every product b_i b_j and every adjoint lies in the span, and the
+        trace is positive on the Gram matrix tau(b_i* b_j) when the span is
+        unital.  Products compose index maps, a chunk of left factors at a time."""
         n, D = self.dim, self.rep_dim
-        full = n * n * D * D <= _PAIR_STACK_LIMIT
-        if full:  # pair (i, j) at i * n + j
-            prods = _pair_products(self.basis, self.basis).transpose(0, 2, 1, 3).reshape(n * n, D, D)
-        else:
-            rng = np.random.default_rng(12345 + n)
-            li, rj = rng.integers(0, n, _SAMPLED_PAIRS), rng.integers(0, n, _SAMPLED_PAIRS)
-            prods = np.empty((_SAMPLED_PAIRS, D, D), dtype=np.complex128)
-            for k, (i, j) in enumerate(zip(li, rj)):  # no gathered copies of the factors
-                np.matmul(self.basis[i], self.basis[j], out=prods[k])
-        prod_coords = self.coords_batch(prods)  # raises if not closed
-        adj = np.conj(np.transpose(self.basis, (0, 2, 1)))
-        adj_coords = self.coords_batch(adj)
+        rows = max(1, _CHUNK // (n * D))
+        right = np.arange(n)[None, :, None]
+        pairs, targets, coefs = [], [], []
+        resid, scale = 0.0, 1.0
+        for i0 in range(0, n, rows):
+            left = slice(i0, min(n, i0 + rows))
+            mid = self._col[left, None, :D]  # row r of b_i lands in column mid ...
+            col = self._col[right, mid]  # ... and b_j takes it on to col
+            val = self._rowval[left, None, :D] * self._rowval[right, mid]
+            key, coef, r, s = self._monomial_coords(col.reshape(-1, D), val.reshape(-1, D))
+            pairs.append(i0 * n + key // n)
+            targets.append(key % n)
+            coefs.append(coef)
+            resid, scale = max(resid, r), max(scale, s)
+        if resid > TOL * scale:
+            raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
+        self.structure = (np.concatenate(pairs), np.concatenate(targets), np.concatenate(coefs))
+        # row c of b_i* holds conj(b_i[r, c]) in column r
+        row, col = np.divmod(self._pos, D)
+        adj_col = np.full((n, D), D)
+        adj_col[self._owner_of, col] = row
+        adj_val = np.zeros((n, D), dtype=np.complex128)
+        adj_val[self._owner_of, col] = np.conj(self._val)
+        key, coef, resid, scale = self._monomial_coords(adj_col, adj_val)
+        if resid > TOL * scale:
+            raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
         if self.unit_coords is not None:
             one = self.trace(self.unit_coords)
             if abs(one - 1.0) > 1e-6:
                 raise ValueError(f"trace of the unit is {one:.6f}, expected 1")
-            if full:
-                # Gram matrix tau(b_i* b_j) must be positive semidefinite
-                prod_map = prod_coords.reshape(n, n, n)
-                pair_traces = prod_map @ self.trace_vector  # (n, n): tau(b_c b_j)
-                gram = adj_coords @ pair_traces
-                w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-                if w.min() < -1e-7:
-                    raise ValueError("trace is not positive on the basis Gram matrix")
+            # Gram matrix tau(b_i* b_j) = sum_c coords_c(b_i*) tau(b_c b_j) must be positive semidefinite
+            adj = np.zeros(n * n, dtype=np.complex128)
+            adj[key] = coef
+            pair, t, coef = self.structure
+            pair_traces = _bincount_complex(pair, coef * self.trace_vector[t], n * n).reshape(n, n)
+            gram = adj.reshape(n, n) @ pair_traces
+            w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+            if w.min() < -1e-7:
+                raise ValueError("trace is not positive on the basis Gram matrix")
 
 
 def scalar_algebra() -> StarAlgebra:
@@ -152,29 +276,23 @@ def scalar_algebra() -> StarAlgebra:
 
 
 def matrix_algebra(d: int) -> StarAlgebra:
-    """Full matrix algebra M_d with its normalized trace."""
+    """Full matrix algebra M_d with its normalized trace; E_ij at index i * d + j."""
     if d < 1:
         raise ValueError("dimension must be positive")
+    idx = np.arange(d * d)
     basis = np.zeros((d * d, d, d), dtype=np.complex128)
-    tr = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            basis[i * d + j, i, j] = 1.0
-            if i == j:
-                tr[i * d + j] = 1.0 / d
+    basis[idx, idx // d, idx % d] = 1.0
+    tr = np.where(idx // d == idx % d, 1.0 / d, 0.0).astype(np.complex128)
     return StarAlgebra(basis, tr, label=f"M{d}")
 
 
 def tensor_algebra(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
-    """Tensor product with the product trace; basis index is (i, j) row-major."""
+    """Tensor product with the product trace; basis index is (i, j) row-major,
+    and each basis matrix is np.kron(a.basis[i], b.basis[j])."""
     n = a.dim * b.dim
     D = a.rep_dim * b.rep_dim
-    basis = np.empty((n, D, D), dtype=np.complex128)
-    tr = np.empty(n, dtype=np.complex128)
-    for i in range(a.dim):
-        for j in range(b.dim):
-            basis[i * b.dim + j] = np.kron(a.basis[i], b.basis[j])
-            tr[i * b.dim + j] = a.trace_vector[i] * b.trace_vector[j]
+    basis = (a.basis[:, None, :, None, :, None] * b.basis[None, :, None, :, None, :]).reshape(n, D, D)
+    tr = np.outer(a.trace_vector, b.trace_vector).ravel()
     return StarAlgebra(basis, tr, label=f"{a.label}(x){b.label}")
 
 
@@ -194,15 +312,19 @@ def twisted_group_algebra(G: FiniteGroup, omega: Cocycle2) -> StarAlgebra:
     phase = _phase(omega.num / omega.q)
     basis = np.zeros((m, m, m), dtype=np.complex128)
     basis[np.arange(m)[:, None], G.table, np.arange(m)] = phase
-    # relations u_g u_h = omega(g,h) u_{gh} hold by construction; re-check
-    for g in range(m):
-        for h in range(m):
-            want = phase[g, h] * basis[G.mul(g, h)]
-            if np.abs(basis[g] @ basis[h] - want).max() > TOL:
-                raise VerificationError("twisted regular representation relations failed")
     tr = basis[:, 0, 0].copy()
     tag = "" if omega.is_trivial_table() else ", w"
-    return StarAlgebra(basis, tr, label=f"C[{G.name}{tag}]")
+    A = StarAlgebra(basis, tr, label=f"C[{G.name}{tag}]")
+    # relations u_g u_h = omega(g,h) u_{gh} hold by construction; re-check them
+    # on the structure constants, one entry per pair (g, h) in row-major order
+    pair, t, coef = A.structure
+    if (
+        not np.array_equal(pair, np.arange(m * m))
+        or not np.array_equal(t, G.table.ravel())
+        or np.abs(coef - phase.ravel()).max() > TOL
+    ):
+        raise VerificationError("twisted regular representation relations failed")
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +363,16 @@ def _random_self_adjoint(A: StarAlgebra, span: np.ndarray, rng) -> np.ndarray:
     return M + M.conj().T
 
 
-def _commutators(A: StarAlgebra, t: np.ndarray) -> np.ndarray:
-    """(D^2, n) matrix whose column i is the flattened commutator [b_i, t]."""
-    n, D = A.dim, A.rep_dim
-    comm = _pair_products(A.basis, t[None]).reshape(n, D, D)  # b_i t
-    comm -= _pair_products(t[None], A.basis).reshape(D, n, D).transpose(1, 0, 2)  # t b_i
-    return comm.reshape(n, D * D).T
-
-
 def _center_coords(A: StarAlgebra, rng) -> np.ndarray:
     """Coordinate basis of the center, found as the joint commutant of two
     random self-adjoint elements and then verified against every basis
     element (the joint commutant can only be too big, never too small)."""
     full = np.eye(A.dim, dtype=np.complex128)
-    a = _random_self_adjoint(A, full, rng)
-    b = _random_self_adjoint(A, full, rng)
-    # want c with sum_i c_i [b_i, a] = sum_i c_i [b_i, b] = 0; the stacked (2 D^2, n)
-    # matrix has at least n rows, so the economy Vh already spans all of C^n
-    s, Vh = np.linalg.svd(np.vstack([_commutators(A, a), _commutators(A, b)]), full_matrices=False)[1:]
+    a, b = A.coords_batch(np.stack([_random_self_adjoint(A, full, rng), _random_self_adjoint(A, full, rng)]))
+    # want c with sum_i c_i [b_i, a] = sum_i c_i [b_i, b] = 0, in coordinates: the
+    # stacked (2n, n) matrix has at least n rows, so the economy Vh spans all of C^n
+    stacked = np.vstack([A.commutators(a)[..., 0], A.commutators(b)[..., 0]])
+    s, Vh = np.linalg.svd(stacked, full_matrices=False)[1:]
     if s.size == 0 or s[0] < 1e-12:
         Z = full
     else:
@@ -266,13 +380,14 @@ def _center_coords(A: StarAlgebra, rng) -> np.ndarray:
         Z = Vh[rank:].conj().T  # (n, k)
     if Z.shape[1] == 0:
         raise _Unstable("empty commutant, degenerate draw")
-    # verify: every candidate center element commutes with the whole basis
-    zmats = A.element(Z.T)
-    comm = _pair_products(A.basis, zmats)  # (i, a, k, c): b_i z_k
-    comm -= _pair_products(zmats, A.basis).transpose(2, 1, 0, 3)  # z_k b_i, same layout
-    scale = max(1.0, float(np.abs(zmats).max()))
-    if np.abs(comm).max() > TOL * scale:
-        raise _Unstable("joint commutant exceeds the center")
+    # verify: every candidate center element commutes with the whole basis; the
+    # supports are disjoint, so the largest entry of sum_t c_t b_t is max |c_t| entry_max[t]
+    scale = max(1.0, float((np.abs(Z) * A.entry_max[:, None]).max()))
+    cols = max(1, _CHUNK // (A.dim * A.dim))
+    for k0 in range(0, Z.shape[1], cols):
+        comm = A.commutators(Z[:, k0 : k0 + cols])  # (t, i, k)
+        if (np.abs(comm) * A.entry_max[:, None, None]).max() > TOL * scale:
+            raise _Unstable("joint commutant exceeds the center")
     return Z
 
 
@@ -280,12 +395,12 @@ def block_profile(A: StarAlgebra, seed: int = 0) -> BlockProfile:
     """Simple block dimensions via a random self-adjoint central element.
 
     The eigenvalue clusters of that element (separation threshold EIG_GAP)
-    must number exactly dim(center); each spectral projector p then acts on
-    the coefficient space with integer rank d^2, recovered as the trace of
-    an idempotent map.  Collisions or rank drift trigger a retry with fresh
+    must number exactly dim(center); each spectral projector p must lie in
+    the algebra and acts on it with integer rank d^2, recovered as the
+    trace of x -> p x.  Collisions or rank drift trigger a retry with fresh
     randomness, and MAX_RETRIES failures raise DecompositionUnstableError.
     """
-    n, D = A.dim, A.rep_dim
+    n = A.dim
     rng = np.random.default_rng(seed)
     last = "no attempts ran"
     for _ in range(MAX_RETRIES):
@@ -301,9 +416,8 @@ def block_profile(A: StarAlgebra, seed: int = 0) -> BlockProfile:
             dims = []
             for lo, hi in zip(bounds, bounds[1:]):
                 P = V[:, lo:hi] @ V[:, lo:hi].conj().T
-                moved = _pair_products(P[None], A.basis).reshape(D, n, D).transpose(1, 0, 2)
-                cmat = A.coords_batch(moved)  # (n, n), row i = coords(P b_i)
-                tr = np.trace(cmat)
+                A.coords_batch(P[None])  # raises if the projector is not in the algebra
+                tr = A.multiplier_trace(P)
                 rank = int(round(tr.real))
                 if abs(tr - rank) > 1e-6:
                     raise _Unstable(f"non-integer idempotent trace {tr:.4f}")
@@ -372,18 +486,18 @@ class TwistedSystem:
             lhs = A.element(self.omega @ self.alpha[r].T) @ wmats[r, mul]
             rhs = wmats[r, :, None] @ wmats[mul[r]]
             _fail_first(np.abs(lhs - rhs).max(axis=(-2, -1)), f"cocycle axiom fails at ({r},{{}},{{}})")
-        # sampled automorphism property: multiplicative and *-preserving
+        # sampled automorphism property: multiplicative and *-preserving; per s,
+        # count products b_i b_j and one adjoint b_k*, in one coords_batch
         rng = np.random.default_rng(f * 1009 + n)
         count = min(n * n, 64)
         for s in range(f):
-            for _ in range(count):
-                i, j = int(rng.integers(n)), int(rng.integers(n))
-                prod = A.coords(A.basis[i] @ A.basis[j])
-                if np.abs(A.element(self.alpha[s] @ prod) - amats[s, i] @ amats[s, j]).max() > TOL:
-                    raise VerificationError(f"alpha({s}) is not multiplicative")
-            i = int(rng.integers(n))
-            star = A.coords(A.basis[i].conj().T)
-            if np.abs(A.element(self.alpha[s] @ star) - amats[s, i].conj().T).max() > TOL:
+            i, j = np.array([[int(rng.integers(n)), int(rng.integers(n))] for _ in range(count)]).T
+            k = int(rng.integers(n))
+            mats = np.concatenate([A.basis[i] @ A.basis[j], A.basis[k].conj().T[None]])
+            moved = A.element(A.coords_batch(mats) @ self.alpha[s].T)
+            if np.abs(moved[:-1] - amats[s, i] @ amats[s, j]).max() > TOL:
+                raise VerificationError(f"alpha({s}) is not multiplicative")
+            if np.abs(moved[-1] - amats[s, k].conj().T).max() > TOL:
                 raise VerificationError(f"alpha({s}) does not preserve the adjoint")
 
 
@@ -490,8 +604,13 @@ def crossed_product(sys: TwistedSystem) -> StarAlgebra:
 def cutdown_fiber(G: FiniteGroup, N: Subgroup, chi) -> StarAlgebra:
     """Compress C[G] by the central idempotent of a character of a central
     subgroup: e_chi = (1/|N|) sum_z conj(chi(z)) u_z, represented on the
-    range of e_chi with basis the compressed u_g over right-coset
-    representatives of N."""
+    range of e_chi with basis the compressed u_g over coset representatives
+    of N.
+
+    The range has the orthonormal coset basis q_b = sqrt|N| e_chi delta_{r_b}
+    (r_b the representative of coset b).  Since e_chi u_z = chi(z) e_chi,
+    u_g q_b = chi(z) q_c where g r_b = z r_c with z in N, so every compressed
+    u_g is monomial with the exact phases chi(z)."""
     if N.parent is not G:
         raise InvalidGroupError("subgroup belongs to a different group")
     if not set(N.members) <= set(center(G).members):
@@ -499,21 +618,20 @@ def cutdown_fiber(G: FiniteGroup, N: Subgroup, chi) -> StarAlgebra:
     chi_map = {int(k): v for k, v in dict(chi).items()}
     if set(chi_map) != set(N.members):
         raise InvalidGroupError("character must be defined exactly on the subgroup")
-    m = G.order
-    idx = np.arange(m)
-    perms = np.zeros((m, m, m), dtype=np.complex128)
-    perms[idx[:, None], G.table, idx] = 1.0  # perms[g] is left multiplication by g
-    e = sum(np.conj(_phase(chi_map[z])) * perms[z] for z in N.members) / len(N.members)
-    if np.abs(e @ e - e).max() > TOL or np.abs(e - e.conj().T).max() > TOL:
+    members = np.asarray(N.members, dtype=np.int64)
+    chi_of = np.zeros(G.order, dtype=np.complex128)
+    chi_of[members] = _phase([float(chi_map[z]) for z in N.members])
+    # e_chi is a projection exactly when chi is multiplicative on N
+    prod = chi_of[G.table[members[:, None], members]]
+    if np.abs(chi_of[members, None] * chi_of[members] - prod).max() > TOL:
         raise VerificationError("central character idempotent failed to be a projection")
-    w, V = np.linalg.eigh(e)
-    r = int(np.sum(w > 0.5))
-    if r != m // len(N.members):
-        raise VerificationError("fiber rank does not match the coset count")
-    Q = V[:, w > 0.5]
-    _, reps = coset_index(G, N)  # N is central, so its left and right cosets agree
-    basis = np.array([Q.conj().T @ perms[g] @ Q for g in reps])
-    tr = np.array([np.trace(b) / r for b in basis])
+    number, reps = coset_index(G, N)  # N is central, so its left and right cosets agree
+    r = len(reps)
+    g_rb = G.table[reps[:, None], reps]  # [a, b]: r_a r_b = z r_c
+    c = number[g_rb]
+    basis = np.zeros((r, r, r), dtype=np.complex128)
+    basis[np.arange(r)[:, None], c, np.arange(r)] = chi_of[G.table[g_rb, G.inverse[reps[c]]]]
+    tr = np.trace(basis, axis1=1, axis2=2) / r
     return StarAlgebra(basis, tr, label=f"C[{G.name}]@chi")
 
 
@@ -629,13 +747,12 @@ def verify_stabilization(sys: TwistedSystem, seed: int = 0) -> dict:
             raise VerificationError("stabilizing unitary is not unitary")
 
     def alpha_tensor(s: int, M: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(M)
-        for k in range(f):
-            for l in range(f):
-                blk = M[k::f, l::f]
-                if np.abs(blk).max() > 1e-12:
-                    out[k::f, l::f] = A.element(sys.alpha[s] @ A.coords(blk))
-        return out
+        """alpha_s (x) id on a matrix or a stack, one coords_batch for all of it."""
+        blocks = M.reshape(-1, D, f, D, f).transpose(0, 2, 4, 1, 3)  # [., k, l] = M[k::f, l::f]
+        live = np.abs(blocks).max(axis=(-2, -1)) > 1e-12
+        out = np.zeros_like(blocks)
+        out[live] = A.element(A.coords_batch(blocks[live]) @ sys.alpha[s].T)
+        return out.transpose(0, 3, 1, 4, 2).reshape(M.shape)
 
     sigma_dev = 0.0
     for s in range(f):
@@ -648,14 +765,12 @@ def verify_stabilization(sys: TwistedSystem, seed: int = 0) -> dict:
         raise VerificationError(f"stabilization cocycle deviates from 1 by {sigma_dev:.2e}")
     beta = np.zeros((f, big.dim, big.dim), dtype=np.complex128)
     for s in range(f):
-        moved = np.empty((big.dim, Dt, Dt), dtype=np.complex128)
-        for idx in range(big.dim):
-            moved[idx] = v[s] @ alpha_tensor(s, big.basis[idx]) @ v[s].conj().T
-        beta[s] = big.coords_batch(moved).T
+        beta[s] = big.coords_batch(v[s] @ alpha_tensor(s, big.basis) @ v[s].conj().T).T
     stab = TwistedSystem(big, F, beta, np.broadcast_to(big.unit_coords, (f, f, big.dim)).copy())
     right = block_profile(crossed_product(stab), seed)
-    small = block_profile(crossed_product(sys), seed)
-    left = block_profile(tensor_algebra(crossed_product(sys), matrix_algebra(f)), seed)
+    twisted = crossed_product(sys)
+    small = block_profile(twisted, seed)
+    left = block_profile(tensor_algebra(twisted, matrix_algebra(f)), seed)
     if left.blocks != right.blocks or left.blocks != tuple(sorted(d * f for d in small.blocks)):
         raise VerificationError(
             f"stabilization mismatch: twisted-then-tensor {left.blocks}, untwisted {right.blocks}"

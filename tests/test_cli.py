@@ -15,6 +15,7 @@ from twistkit import cli
 from twistkit import descriptors as dsc
 from twistkit.cli import load_descriptor, load_group, load_subgroup, run
 from twistkit.descriptors import Finite, FreeAbelian, Zinv
+from twistkit.extensions import abelian_group
 from twistkit.groups import klein, quaternion8
 
 
@@ -322,6 +323,25 @@ def _wreath_chain(levels):
     return json.dumps(doc)
 
 
+class TestClassifyCap:
+    def test_checked_before_sampling(self, tmp_path, monkeypatch):
+        # C2 x C2 x C4 has H2 = (Z/2)^3, so its extension has order 128: the cap is
+        # read off homology.h2 and no extension is sampled
+        path = tmp_path / "c2c2c4.json"
+        path.write_text(json.dumps(abelian_group((2, 2, 4)).to_json()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_extension ran")
+
+        monkeypatch.setattr(cli, "sample_extension", refuse)
+        code, out, err = invoke("classify", "--group", f"@{path}")
+        assert (code, out, err) == (1, "", "error: classification capped at order 16, got 128\n")
+
+    def test_below_cap_still_classifies(self):
+        code, out, _ = invoke("classify", "--group", "klein", "--seed", "3")
+        assert code == 0 and json.loads(out)["class"] == "Q8"
+
+
 class TestCardinalityCap:
     def test_twelve_levels_print_exactly(self):
         # |K wr C2| = 2 |K|^2, so level n has 2^(2^(n+1) - 1) elements
@@ -522,3 +542,62 @@ class TestDeterminism:
             return "".join(chunks).encode()
 
         assert transcript() == transcript()
+
+
+class TestAlgebraGoldenBytes:
+    """Exact stdout and stderr of the *-algebra subcommands at seeds 0-3.
+
+    A tuple of four outputs is one per seed; a single string holds for all
+    four.  The stabilize deviation for paper-klein is the float the phase
+    table leaves behind (2 sin(pi) in double precision), so any change in
+    how the stabilization cocycle is evaluated shows here."""
+
+    GOLDEN = [
+        ("twist --group klein --cocycle paper-klein --blocks",
+         '{"blocks":[2]}\n',
+         "twisted group algebra over klein, cocycle paper-klein\n"),
+        ("twist --group dihedral:4 --cocycle trivial --blocks",
+         '{"blocks":[1,1,1,1,2]}\n',
+         "twisted group algebra over dihedral(4), cocycle trivial\n"),
+        ("crossed --group quaternion8 --normal center",
+         '{"blocks":[1,1,1,1,2],"dim":8}\n',
+         "crossed product: fiber over subgroup of order 2, quotient of order 4\n"),
+        ("crossed --group klein --normal 0,1 --cocycle paper-klein",
+         '{"blocks":[2],"dim":4}\n',
+         "crossed product: fiber over subgroup of order 2, quotient of order 2\n"),
+        ("imprimitivity --group dihedral:3 --subgroup gen:1",
+         '{"ambient_dim":12,"ambient_profile":[2,2,2],"compressed_dim":3,'
+         '"compressed_profile":[1,1,1],"index":2,"matches":true}\n',
+         "induced from a subgroup of index 2\n"),
+        ("imprimitivity --group dihedral:4 --subgroup gen:2",
+         '{"ambient_dim":32,"ambient_profile":[4,4],"compressed_dim":2,'
+         '"compressed_profile":[1,1],"index":4,"matches":true}\n',
+         "induced from a subgroup of index 4\n"),
+        ("stabilize --group klein --cocycle paper-klein",
+         '{"matches":true,"sigma_deviation":2.4492935982947064e-16,'
+         '"stabilized_profile":[8],"tensored_profile":[8],"twisted_profile":[2]}\n',
+         "stabilized over klein; deviation 2.45e-16\n"),
+        ("stabilize --group cyclic:4",
+         '{"matches":true,"sigma_deviation":0.0,"stabilized_profile":[4,4,4,4],'
+         '"tensored_profile":[4,4,4,4],"twisted_profile":[1,1,1,1]}\n',
+         "stabilized over cyclic(4); deviation 0.00e+00\n"),
+        ("fibers --group klein",
+         tuple(
+             '{"base":"klein","class":"%s","fibers":[{"blocks":[1,1,1,1],"chi":["0"]},'
+             '{"blocks":[2],"chi":["1/2"]}],"h2":{"free_rank":0,"torsion":[2]},'
+             '"order4_lifts":%s}\n' % pair
+             for pair in [("D4(b)", "[2]"), ("D4(a)", "[1]"), ("D4(ab)", "[3]"), ("Q8", "[1,2,3]")]
+         ),
+         "2 character fibers over H2 of klein\n"),
+        ("fibers --group dihedral:4",
+         '{"base":"dihedral(4)","class":"unclassified:6feee6c4d5a1298a","fibers":'
+         '[{"blocks":[1,1,1,1,2],"chi":["0"]},{"blocks":[2,2],"chi":["1/2"]}],'
+         '"h2":{"free_rank":0,"torsion":[2]},"order4_lifts":[]}\n',
+         "2 character fibers over H2 of dihedral(4)\n"),
+    ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("command,stdout,stderr", GOLDEN, ids=[g[0] for g in GOLDEN])
+    def test_bytes(self, command, stdout, stderr, seed):
+        want = stdout if isinstance(stdout, str) else stdout[seed]
+        assert invoke(*command.split(), "--seed", str(seed)) == (0, want, stderr)

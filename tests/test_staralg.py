@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from instances import imprimitivity_instance, random_coboundary, stabilization_instance
+from instances import imprimitivity_instance, random_coboundary, small_groups, stabilization_instance
 from oracles import character_degrees, conjugacy_class_count, omega_regular_class_count
 
 from twistkit.cocycles import (
@@ -34,7 +34,6 @@ from twistkit.groups import (
     symmetric,
 )
 from twistkit.staralg import (
-    _PAIR_STACK_LIMIT,
     BlockProfile,
     StarAlgebra,
     TwistedSystem,
@@ -93,23 +92,59 @@ class TestStarAlgebra:
         b[0] = np.eye(2)
         b[1, 0, 1] = 1
         b[2, 1, 0] = 1
-        assert 3 * 3 * 2 * 2 <= _PAIR_STACK_LIMIT  # every pair is checked
         with pytest.raises(ValueError, match="outside the algebra span"):
             StarAlgebra(b, np.array([1.0, 0.0, 0.0]))
 
-    def test_product_escape_rejected_when_sampled(self):
-        # 64 random Hermitian 32 x 32 matrices: closed under adjoint, but
-        # no product of two of them lies in their span
+    def test_one_escaping_pair_found_in_large_family(self):
+        # the matrix units of M_14 on the first 14 coordinates and X = E_{14,15} + E_{15,14}:
+        # every product lies in the span except X X = E_{14,14} + E_{15,15}, one pair of
+        # 197^2 = 38 809, and n^2 D^2 is about 9.9 M entries; 1024 random pairs would
+        # miss it with probability (1 - 1/38809)^1024, about 0.97
+        d, D = 14, 16
+        units = matrix_algebra(d).basis
+        b = np.zeros((d * d + 1, D, D), dtype=complex)
+        b[: d * d, :d, :d] = units
+        b[-1, 14, 15] = b[-1, 15, 14] = 1
+        assert len(b) ** 2 * D * D > 4_000_000
+        with pytest.raises(ValueError, match="outside the algebra span"):
+            StarAlgebra(b, np.zeros(len(b)))
+        # without X the family is closed, and it is accepted
+        assert StarAlgebra(b[:-1], np.zeros(d * d)).dim == d * d
+        # a closed algebra of the same size is accepted
+        assert matrix_algebra(13).dim == 13 * 13
+
+    def test_dense_family_rejected(self):
+        # 64 random Hermitian 32 x 32 matrices: closed under adjoint, but dense
         n, D = 64, 32
-        assert n * n * D * D > _PAIR_STACK_LIMIT  # only sampled pairs are checked
         rng = np.random.default_rng(7)
         m = rng.standard_normal((n, D, D)) + 1j * rng.standard_normal((n, D, D))
-        with pytest.raises(ValueError, match="outside the algebra span"):
+        with pytest.raises(ValueError, match="not a disjoint monomial family"):
             StarAlgebra(m + m.conj().transpose(0, 2, 1), np.zeros(n))
-        # a closed algebra in the sampled regime is accepted
-        d = 13
-        assert d**6 > _PAIR_STACK_LIMIT
-        assert matrix_algebra(d).dim == d * d
+
+    def test_monomial_family_rules(self):
+        # two nonzeros in one row of one matrix
+        b = np.zeros((1, 2, 2), dtype=complex)
+        b[0, 0] = 1
+        with pytest.raises(ValueError, match="row or column"):
+            StarAlgebra(b, np.ones(1))
+        # a zero matrix
+        with pytest.raises(ValueError, match="linearly dependent"):
+            StarAlgebra(np.stack([np.eye(2), np.zeros((2, 2))]), np.array([1.0, 0.0]))
+
+    def test_partial_and_skewed_products_rejected(self):
+        # {E11, E22, X = E12 + E21}: X X = E11 + E22 meets two supports and lies in
+        # the span, but X E11 = E21 covers only half of supp(X)
+        b = np.zeros((3, 2, 2), dtype=complex)
+        b[0, 0, 0] = b[1, 1, 1] = 1
+        b[2, 0, 1] = b[2, 1, 0] = 1
+        with pytest.raises(ValueError, match="outside the algebra span"):
+            StarAlgebra(b, np.array([0.5, 0.5, 0.0]))
+        # {Y = diag(1, 2), X}: Y Y = diag(1, 4) covers supp(Y) with the wrong ratio
+        b = np.zeros((2, 2, 2), dtype=complex)
+        b[0] = np.diag([1.0, 2.0])
+        b[1, 0, 1] = b[1, 1, 0] = 1
+        with pytest.raises(ValueError, match="outside the algebra span"):
+            StarAlgebra(b, np.array([1.0, 0.0]))
 
     def test_coords_round_trip_and_escape(self):
         A = matrix_algebra(2)
@@ -201,6 +236,23 @@ class TestTwistedGroupAlgebra:
             assert len(block_profile(twisted_group_algebra(G, omega)).blocks) == expected, G.name
             counts.append(expected)
         assert counts == [1, 4, 1, 4, 1]
+
+    def test_block_count_is_omega_regular_class_count_on_small_groups(self):
+        # every small group under a random coboundary, and every sigma_chi cocycle
+        # over its center, bare and under a random coboundary
+        rng = np.random.default_rng(29)
+        checked = 0
+        for G in small_groups():
+            N = center(G)
+            cases = [random_coboundary(G, rng)]
+            for sig in (sigma_chi(G, N, chi) for chi in subgroup_characters(N)):
+                cases += [sig, multiply(sig, random_coboundary(sig.group, rng))]
+            for omega in cases:
+                H = omega.group
+                expected = omega_regular_class_count(H.table, omega.angles)
+                assert len(block_profile(twisted_group_algebra(H, omega)).blocks) == expected, G.name
+                checked += 1
+        assert checked == 9 + 2 * sum(center(G).order for G in small_groups())
 
     def test_omega_regular_count_of_trivial_cocycle_is_class_count(self):
         for G in (symmetric(3), dihedral(4), quaternion8(), cyclic(6)):
