@@ -43,6 +43,7 @@ from .groups import (
 from .homology import h1, h2
 from .staralg import (
     block_profile,
+    check_crossed_cap,
     crossed_product,
     scalar_system,
     system_from_normal,
@@ -185,7 +186,7 @@ def _cmd_twist(args):
     if args.blocks:
         prof = block_profile(A, seed=args.seed)
         return {"blocks": list(prof.blocks)}, notes
-    return {"dim": int(A.basis.shape[0])}, notes
+    return {"dim": A.dim}, notes
 
 
 def _cmd_fibers(args):
@@ -197,12 +198,13 @@ def _cmd_fibers(args):
 
 def _cmd_crossed(args):
     G = load_group(args.group)
+    check_crossed_cap(G.order)  # before any cocycle or system is built
     N = load_subgroup(args.normal, G)
     sigma = load_cocycle(args.cocycle, G) if args.cocycle else None
     sys_ = system_from_normal(G, N, sigma)
     big = crossed_product(sys_)
     prof = block_profile(big, seed=args.seed)
-    doc = {"blocks": list(prof.blocks), "dim": int(big.basis.shape[0])}
+    doc = {"blocks": list(prof.blocks), "dim": big.dim}
     notes = [
         f"crossed product: fiber over subgroup of order {N.order}, "
         f"quotient of order {G.order // N.order}"
@@ -213,6 +215,7 @@ def _cmd_crossed(args):
 def _cmd_imprimitivity(args):
     G = load_group(args.group)
     S = load_subgroup(args.subgroup, G)
+    check_crossed_cap(G.order // S.order * G.order)  # the induced crossed product
     Hgrp, _ = subgroup_as_group(S)
     omega = load_cocycle(args.cocycle, Hgrp) if args.cocycle else trivial_cocycle(Hgrp)
     sys_ = scalar_system(Hgrp, omega)
@@ -222,6 +225,7 @@ def _cmd_imprimitivity(args):
 
 def _cmd_stabilize(args):
     G = load_group(args.group)
+    check_crossed_cap(G.order**3)  # the crossed product of the stabilized system
     omega = load_cocycle(args.cocycle, G) if args.cocycle else trivial_cocycle(G)
     sys_ = scalar_system(G, omega)
     rep = verify_stabilization(sys_, seed=args.seed)

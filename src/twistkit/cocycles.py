@@ -27,6 +27,9 @@ from .homology import Character, SplittingData, H2Presentation, build_chain, h2_
 # Fraction angle does; 3q also fits int64 for the identity check
 MAX_DENOMINATOR = 2**52
 
+# the identity check holds about this many int64 triples (8 MB) at a time
+_TRIPLE_CHUNK = 1 << 20
+
 
 def _as_angle(value) -> Fraction:
     return Fraction(value) % 1
@@ -91,15 +94,23 @@ class Cocycle2:
 
 
 def _check_identity(G: FiniteGroup, num: np.ndarray, q: int):
-    tbl = G.table
-    # omega(g1, g2 g3) + omega(g2, g3) - omega(g1 g2, g3) - omega(g1, g2), indexed (g1, g2, g3)
-    excess = (num[:, tbl] + num[None, :, :] - num[tbl, :] - num[:, :, None]) % q
-    bad = np.argwhere(excess)
-    if len(bad):
-        g1, g2, g3 = (int(x) for x in bad[0])
-        raise IdentityViolationError(
-            f"cocycle identity fails at triple ({g1}, {g2}, {g3})", triple=(g1, g2, g3)
-        )
+    """Every triple, a chunk of about _TRIPLE_CHUNK triples (whole g1 rows) at
+    a time; the first failing triple in row-major order is the witness."""
+    tbl, m = G.table, G.order
+    rows = max(1, _TRIPLE_CHUNK // (m * m))
+    for g0 in range(0, m, rows):
+        g1 = slice(g0, g0 + rows)
+        # omega(g1, g2 g3) + omega(g2, g3) - omega(g1 g2, g3) - omega(g1, g2), indexed (g1, g2, g3)
+        excess = num[g1][:, tbl]
+        excess += num
+        excess -= num[tbl[g1]]
+        excess -= num[g1, :, None]
+        excess %= q
+        if excess.any():
+            a, g2, g3 = (int(x) for x in np.argwhere(excess)[0])
+            raise IdentityViolationError(
+                f"cocycle identity fails at triple ({g0 + a}, {g2}, {g3})", triple=(g0 + a, g2, g3)
+            )
 
 
 def check_cocycle(group: FiniteGroup, candidate) -> Cocycle2:

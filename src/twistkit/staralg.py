@@ -7,16 +7,18 @@ in every row and every column, and no two matrices share a nonzero
 position.  The u_g of a twisted regular representation, matrix units,
 tensor products, crossed products, induced algebras and the fibers over
 central characters are all of this kind, and StarAlgebra accepts nothing
-else.  It works from the supports, never from a decomposition of the
-dense basis:
+else.  So a basis is stored as its row maps, two (n, D) arrays: row r of
+b_i holds val[i, r] in column col[i, r], and val = 0 marks an empty row.
+Every builder writes these arrays by index arithmetic, and StarAlgebra
+works from them alone; the dense (n, D, D) basis is formed only on request:
 
 - independence is exact: the supports are nonempty and pairwise disjoint;
 - coordinates are a gather over the supports, and the reconstruction's
   residual must stay within TOL times the largest input entry;
-- the product of two basis matrices composes their row-to-column index
-  maps, so closure, adjoints and positivity of the trace's Gram matrix
-  are checked for every pair, in chunks, and the products' coordinates
-  are kept as sparse structure constants;
+- the product of two basis matrices composes their row maps, so closure,
+  adjoints and positivity of the trace's Gram matrix are checked for every
+  pair, in chunks, and the products' coordinates are kept as sparse
+  structure constants;
 - the center is the null space of (2n, n) commutator coordinates.
 
 Everything downstream reduces to one primitive: the block profile, the
@@ -41,12 +43,7 @@ from math import isqrt
 import numpy as np
 
 from .cocycles import Cocycle2, normalize, sigma_chi, subgroup_characters
-from .errors import (
-    DecompositionUnstableError,
-    InvalidGroupError,
-    ResourceCapError,
-    VerificationError,
-)
+from .errors import DecompositionUnstableError, InvalidGroupError, ResourceCapError, VerificationError
 from .groups import FiniteGroup, Subgroup, center, coset_index, quotient, subgroup_as_group
 
 TOL = 1e-8
@@ -64,11 +61,21 @@ def _phase(angle):
     return np.exp(2j * np.pi * np.asarray(angle, dtype=np.float64))
 
 
-def _pair_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Every product X[i] @ Y[j] of two stacks of D x D matrices as one GEMM,
-    indexed (i, a, j, c) for entry (a, c) of X[i] @ Y[j]."""
-    D = X.shape[-1]
-    return (X.reshape(-1, D) @ Y.transpose(1, 0, 2).reshape(D, -1)).reshape(len(X), D, len(Y), D)
+def check_crossed_cap(dim: int) -> None:
+    """Refuse a crossed product of dimension above CROSSED_CAP, before it is built."""
+    if dim > CROSSED_CAP:
+        raise ResourceCapError(f"crossed product dimension {dim} exceeds {CROSSED_CAP}")
+
+
+def monomial_rows(mats) -> tuple[np.ndarray, np.ndarray]:
+    """Row maps (col, val) of a stack (..., D, D) of matrices with at most one
+    nonzero per row: row r of mats[a] holds val[a, r] in column col[a, r]."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    nonzero = mats != 0
+    if nonzero.sum(axis=-1).max(initial=0) > 1:
+        raise ValueError("basis is not a disjoint monomial family: a row or column holds two nonzeros")
+    col = nonzero.argmax(axis=-1)
+    return col, np.take_along_axis(mats, col[..., None], axis=-1)[..., 0]
 
 
 def _bincount_complex(keys: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -77,24 +84,31 @@ def _bincount_complex(keys: np.ndarray, weights: np.ndarray, size: int) -> np.nd
 
 
 class StarAlgebra:
-    """A concrete *-algebra: basis matrices, a trace, and a label.
+    """A concrete *-algebra: basis matrices given by their row maps, a trace,
+    and a label.
 
-    basis: (n, D, D) complex, a disjoint monomial family spanning a
-    subalgebra of M_D closed under adjoint.  trace_vector[i] is the trace
-    of basis[i]; the trace is required to be normalized (trace(1) = 1) and
-    positive on the Gram matrix when the span contains the identity.
-    Construction checks all of this on every pair of basis elements and
-    keeps the structure constants: b_i b_j has coefficient coef at b_t for
-    each entry of structure = (pair, t, coef) with pair = i * n + j; a pair
-    with a zero product has no entry.
+    col, val: (n, D) arrays; basis matrix b_i is the D x D matrix whose row r
+    holds val[i, r] in column col[i, r], and val[i, r] = 0 marks an empty row.
+    The b_i must form a disjoint monomial family spanning a subalgebra of M_D
+    closed under adjoint.  trace_vector[i] is the trace of b_i; the trace is
+    required to be normalized (trace(1) = 1) and positive on the Gram matrix
+    when the span contains the identity.  Construction checks all of this on
+    every pair of basis elements and keeps the structure constants: b_i b_j
+    has coefficient coef at b_t for each entry of structure = (pair, t, coef)
+    with pair = i * n + j; a pair with a zero product has no entry.
     """
 
-    def __init__(self, basis, trace_vector, label: str = ""):
-        basis = np.ascontiguousarray(np.asarray(basis, dtype=np.complex128))
-        if basis.ndim != 3 or basis.shape[1] != basis.shape[2] or basis.shape[0] == 0:
-            raise ValueError("basis must be a nonempty (n, D, D) array")
-        self.basis = basis
-        self.dim, self.rep_dim, _ = basis.shape
+    def __init__(self, col, val, trace_vector, label: str = ""):
+        col = np.array(col, dtype=np.int64)
+        val = np.array(val, dtype=np.complex128)
+        if val.ndim != 2 or val.size == 0 or col.shape != val.shape:
+            raise ValueError("col and val must be nonempty (n, D) arrays of one shape")
+        if col.min() < 0 or col.max() >= val.shape[1]:
+            raise ValueError("a column index lies outside the D x D matrices")
+        for a in (col, val):
+            a.setflags(write=False)
+        self.col, self.val = col, val
+        self.dim, self.rep_dim = val.shape
         self.label = label
         self.trace_vector = np.asarray(trace_vector, dtype=np.complex128)
         if self.trace_vector.shape != (self.dim,):
@@ -106,35 +120,36 @@ class StarAlgebra:
     def _index_supports(self):
         """Certify a disjoint monomial family and index its supports."""
         n, D = self.dim, self.rep_dim
-        owner, row, col = np.nonzero(self.basis)  # grouped by owner
+        owner, row = np.nonzero(self.val)  # grouped by owner
+        col = self.col[owner, row]
         size = np.bincount(owner, minlength=n)
         if size.min() == 0:
             raise ValueError(f"basis matrix {int(np.argmin(size))} is zero, so the basis is linearly dependent")
         if np.bincount(row * D + col, minlength=D * D).max() > 1:
             raise ValueError("basis is not a disjoint monomial family: two matrices share a nonzero position")
-        if max(np.bincount(owner * D + row).max(), np.bincount(owner * D + col).max()) > 1:
+        if np.bincount(owner * D + col).max() > 1:
             raise ValueError("basis is not a disjoint monomial family: a row or column holds two nonzeros")
-        val = self.basis[owner, row, col]
-        norm = np.bincount(owner, np.abs(val) ** 2, n)
+        val = self.val[owner, row]
+        self._norm = np.bincount(owner, np.abs(val) ** 2, n)
         self._owner_of, self._pos, self._val = owner, row * D + col, val
         self._start = np.cumsum(size) - size  # where each support begins
         self._size = size
-        self._weight = np.conj(val) / norm[owner]  # coords_i(M) = sum of weight * M over supp(b_i)
+        self._weight = np.conj(val) / self._norm[owner]  # coords_i(M) = sum of weight * M over supp(b_i)
         self.entry_max = np.maximum.reduceat(np.abs(val), self._start)
         # trace of x -> p x is sum_r p[r, r] row_weight[r] (see multiplier_trace)
-        self._row_weight = np.bincount(row, np.abs(val) ** 2 / norm[owner], D)
-        # index maps with column D standing for "no entry": row r of b_i holds
-        # rowval[i, r] in column col[i, r]; position (r, c) is owned by owner[r, c]
-        self._col = np.full((n, D + 1), D)
-        self._col[owner, row] = col
-        self._rowval = np.zeros((n, D + 1), dtype=np.complex128)
-        self._rowval[owner, row] = val
-        self._owner = np.full((D, D + 1), -1)
+        self._row_weight = np.bincount(row, np.abs(val) ** 2 / self._norm[owner], D)
+        self._owner = np.full((D, D), -1)  # position (r, c) belongs to b_owner[r, c], or to none
         self._owner[row, col] = owner
-        self._entry = np.zeros((D, D + 1), dtype=np.complex128)
-        self._entry[row, col] = val
-        self._weight_at = np.zeros((D, D + 1), dtype=np.complex128)
-        self._weight_at[row, col] = self._weight
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense (n, D, D) basis, read-only, scattered from the row maps on
+        each access; in this module only the dense checks of twisted systems
+        and stabilization read it."""
+        out = np.zeros((self.dim, self.rep_dim**2), dtype=np.complex128)
+        out[self._owner_of, self._pos] = self._val
+        out.setflags(write=False)
+        return out.reshape(self.dim, self.rep_dim, self.rep_dim)
 
     # -- coordinates -------------------------------------------------------
 
@@ -195,23 +210,25 @@ class StarAlgebra:
     # -- validation --------------------------------------------------------
 
     def _monomial_coords(self, col: np.ndarray, val: np.ndarray):
-        """Coordinates of k monomial matrices given by rows (row r of matrix
-        a holds val[a, r] in column col[a, r]; column D marks an empty row).
+        """Coordinates of k monomial matrices given by row maps (k, D) in the
+        layout of (self.col, self.val).
 
         Returns (key, coef, resid, scale): matrix a has coordinate coef at
         b_t for each key = a * n + t, in ascending key order; resid is the
         largest entry of the reconstruction's residual and scale the largest
         input entry."""
         n = self.dim
-        rows = np.arange(self.rep_dim)
-        own = self._owner[rows, col]  # -1 on empty rows and unowned positions
-        hit = own >= 0
-        key, inv = np.unique((np.arange(len(col))[:, None] * n + own)[hit], return_inverse=True)
-        coef = _bincount_complex(inv, (self._weight_at[rows, col] * val)[hit], len(key))
+        own = self._owner[np.arange(self.rep_dim), col]  # -1 on unowned positions
+        hit = (own >= 0) & (val != 0)
+        a, r = np.nonzero(hit)
+        t = own[a, r]
+        entry = self.val[t, r]  # b_t's own entry at the position
+        key, inv = np.unique(a * n + t, return_inverse=True)
+        coef = _bincount_complex(inv, np.conj(entry) / self._norm[t] * val[a, r], len(key))
         hits = np.bincount(inv, minlength=len(key))
         resid = max(
             float(np.abs(val[~hit]).max(initial=0.0)),
-            float(np.abs(val[hit] - coef[inv] * self._entry[rows, col][hit]).max(initial=0.0)),
+            float(np.abs(val[a, r] - coef[inv] * entry).max(initial=0.0)),
         )
         # a matrix that meets supp(b_t) but misses part of it leaves coef * b_t there
         short = np.flatnonzero(hits < self._size[key % n])
@@ -222,13 +239,13 @@ class StarAlgebra:
             p = np.arange(size.sum()) + np.repeat(self._start[t] - (np.cumsum(size) - size), size)
             r, c = np.divmod(self._pos[p], self.rep_dim)
             gap = np.abs(coef[short][item]) * np.abs(self._val[p])
-            resid = max(resid, float(gap[col[a[item], r] != c].max(initial=0.0)))
+            resid = max(resid, float(gap[(col[a[item], r] != c) | (val[a[item], r] == 0)].max(initial=0.0)))
         return key, coef, resid, max(1.0, float(np.abs(val).max(initial=0.0)))
 
     def _check_closure(self):
         """Every product b_i b_j and every adjoint lies in the span, and the
         trace is positive on the Gram matrix tau(b_i* b_j) when the span is
-        unital.  Products compose index maps, a chunk of left factors at a time."""
+        unital.  Products compose row maps, a chunk of left factors at a time."""
         n, D = self.dim, self.rep_dim
         rows = max(1, _CHUNK // (n * D))
         right = np.arange(n)[None, :, None]
@@ -236,9 +253,9 @@ class StarAlgebra:
         resid, scale = 0.0, 1.0
         for i0 in range(0, n, rows):
             left = slice(i0, min(n, i0 + rows))
-            mid = self._col[left, None, :D]  # row r of b_i lands in column mid ...
-            col = self._col[right, mid]  # ... and b_j takes it on to col
-            val = self._rowval[left, None, :D] * self._rowval[right, mid]
+            mid = self.col[left, None, :]  # row r of b_i lands in column mid ...
+            col = self.col[right, mid]  # ... and b_j takes it on to col
+            val = self.val[left, None, :] * self.val[right, mid]
             key, coef, r, s = self._monomial_coords(col.reshape(-1, D), val.reshape(-1, D))
             pairs.append(i0 * n + key // n)
             targets.append(key % n)
@@ -249,7 +266,7 @@ class StarAlgebra:
         self.structure = (np.concatenate(pairs), np.concatenate(targets), np.concatenate(coefs))
         # row c of b_i* holds conj(b_i[r, c]) in column r
         row, col = np.divmod(self._pos, D)
-        adj_col = np.full((n, D), D)
+        adj_col = np.zeros((n, D), dtype=np.int64)
         adj_col[self._owner_of, col] = row
         adj_val = np.zeros((n, D), dtype=np.complex128)
         adj_val[self._owner_of, col] = np.conj(self._val)
@@ -272,7 +289,7 @@ class StarAlgebra:
 
 
 def scalar_algebra() -> StarAlgebra:
-    return StarAlgebra(np.ones((1, 1, 1)), np.ones(1), label="C")
+    return StarAlgebra(np.zeros((1, 1)), np.ones((1, 1)), np.ones(1), label="C")
 
 
 def matrix_algebra(d: int) -> StarAlgebra:
@@ -280,20 +297,36 @@ def matrix_algebra(d: int) -> StarAlgebra:
     if d < 1:
         raise ValueError("dimension must be positive")
     idx = np.arange(d * d)
-    basis = np.zeros((d * d, d, d), dtype=np.complex128)
-    basis[idx, idx // d, idx % d] = 1.0
+    col = np.zeros((d * d, d), dtype=np.int64)
+    val = np.zeros((d * d, d), dtype=np.complex128)
+    col[idx, idx // d] = idx % d
+    val[idx, idx // d] = 1.0
     tr = np.where(idx // d == idx % d, 1.0 / d, 0.0).astype(np.complex128)
-    return StarAlgebra(basis, tr, label=f"M{d}")
+    return StarAlgebra(col, val, tr, label=f"M{d}")
 
 
 def tensor_algebra(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     """Tensor product with the product trace; basis index is (i, j) row-major,
-    and each basis matrix is np.kron(a.basis[i], b.basis[j])."""
-    n = a.dim * b.dim
-    D = a.rep_dim * b.rep_dim
-    basis = (a.basis[:, None, :, None, :, None] * b.basis[None, :, None, :, None, :]).reshape(n, D, D)
+    and each basis matrix is np.kron(a.basis[i], b.basis[j]): row r * Db + s
+    holds a.val[i, r] b.val[j, s] in column a.col[i, r] * Db + b.col[j, s]."""
+    n, D, Db = a.dim * b.dim, a.rep_dim * b.rep_dim, b.rep_dim
+    col = (a.col[:, None, :, None] * Db + b.col[None, :, None, :]).reshape(n, D)
+    val = (a.val[:, None, :, None] * b.val[None, :, None, :]).reshape(n, D)
     tr = np.outer(a.trace_vector, b.trace_vector).ravel()
-    return StarAlgebra(basis, tr, label=f"{a.label}(x){b.label}")
+    return StarAlgebra(col, val, tr, label=f"{a.label}(x){b.label}")
+
+
+def _translation_algebra(table: np.ndarray, phase: np.ndarray, label: str) -> StarAlgebra:
+    """The k x k monomial matrices u_a with u_a delta_b = phase[a, b] delta_{table[a, b]},
+    every row of table a permutation, with the normalized trace."""
+    k = len(table)
+    a = np.arange(k)[:, None]
+    col = np.zeros((k, k), dtype=np.int64)
+    col[a, table] = np.arange(k)
+    val = np.zeros((k, k), dtype=np.complex128)
+    val[a, table] = phase
+    tr = np.where(table == np.arange(k), phase, 0).sum(axis=1) / k
+    return StarAlgebra(col, val, tr, label=label)
 
 
 def twisted_group_algebra(G: FiniteGroup, omega: Cocycle2) -> StarAlgebra:
@@ -308,18 +341,14 @@ def twisted_group_algebra(G: FiniteGroup, omega: Cocycle2) -> StarAlgebra:
     if not np.array_equal(G.table, omega.group.table):
         raise ValueError("cocycle lives on a different group")
     omega, _ = normalize(omega)
-    m = G.order
     phase = _phase(omega.num / omega.q)
-    basis = np.zeros((m, m, m), dtype=np.complex128)
-    basis[np.arange(m)[:, None], G.table, np.arange(m)] = phase
-    tr = basis[:, 0, 0].copy()
     tag = "" if omega.is_trivial_table() else ", w"
-    A = StarAlgebra(basis, tr, label=f"C[{G.name}{tag}]")
+    A = _translation_algebra(G.table, phase, f"C[{G.name}{tag}]")
     # relations u_g u_h = omega(g,h) u_{gh} hold by construction; re-check them
     # on the structure constants, one entry per pair (g, h) in row-major order
     pair, t, coef = A.structure
     if (
-        not np.array_equal(pair, np.arange(m * m))
+        not np.array_equal(pair, np.arange(G.order**2))
         or not np.array_equal(t, G.table.ravel())
         or np.abs(coef - phase.ravel()).max() > TOL
     ):
@@ -490,10 +519,11 @@ class TwistedSystem:
         # count products b_i b_j and one adjoint b_k*, in one coords_batch
         rng = np.random.default_rng(f * 1009 + n)
         count = min(n * n, 64)
+        basis = A.basis
         for s in range(f):
             i, j = np.array([[int(rng.integers(n)), int(rng.integers(n))] for _ in range(count)]).T
             k = int(rng.integers(n))
-            mats = np.concatenate([A.basis[i] @ A.basis[j], A.basis[k].conj().T[None]])
+            mats = np.concatenate([basis[i] @ basis[j], basis[k].conj().T[None]])
             moved = A.element(A.coords_batch(mats) @ self.alpha[s].T)
             if np.abs(moved[:-1] - amats[s, i] @ amats[s, j]).max() > TOL:
                 raise VerificationError(f"alpha({s}) is not multiplicative")
@@ -580,21 +610,18 @@ def crossed_product(sys: TwistedSystem) -> StarAlgebra:
     trace tau(pi(a) lambda_s) = tau_A(a) [s = e]."""
     A, F = sys.algebra, sys.group
     f, n, D = F.order, A.dim, A.rep_dim
-    if n * f > CROSSED_CAP:
-        raise ResourceCapError(f"crossed product dimension {n * f} exceeds {CROSSED_CAP}")
-    Dt = D * f
-    amats = A.element(sys.alpha.swapaxes(1, 2))  # amats[g, i] = alpha_g(b_i)
-    big = np.zeros((n * f, Dt, Dt), dtype=np.complex128)
+    check_crossed_cap(n * f)
+    # block row g of pi(b_i) lambda_s is alpha_{g^-1}(b_i) omega(g^-1, s), in block column s^-1 g
+    col = np.zeros((n, f, f, D), dtype=np.int64)  # [i, s, g, a]: row g * D + a of basis i * f + s
+    val = np.zeros((n, f, f, D), dtype=np.complex128)
     for g in range(f):
         ginv = F.inv(g)
-        wmats = A.element(sys.omega[ginv])  # (s, D, D)
-        blk = _pair_products(amats[ginv], wmats)  # (i, a, s, c)
-        for s in range(f):
-            col = F.mul(F.inv(s), g)
-            big[s::f, g * D : (g + 1) * D, col * D : (col + 1) * D] = blk[:, :, s]
+        blocks = A.element(sys.alpha[ginv].T)[:, None] @ A.element(sys.omega[ginv])[None]  # (i, s, D, D)
+        c, val[:, :, g] = monomial_rows(blocks)
+        col[:, :, g] = c + D * F.table[F.inverse, g][:, None]
     tr = np.zeros(n * f, dtype=np.complex128)
     tr[0 :: f] = A.trace_vector
-    return StarAlgebra(big, tr, label=f"{A.label} x {F.name}")
+    return StarAlgebra(col.reshape(n * f, f * D), val.reshape(n * f, f * D), tr, label=f"{A.label} x {F.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +653,9 @@ def cutdown_fiber(G: FiniteGroup, N: Subgroup, chi) -> StarAlgebra:
     if np.abs(chi_of[members, None] * chi_of[members] - prod).max() > TOL:
         raise VerificationError("central character idempotent failed to be a projection")
     number, reps = coset_index(G, N)  # N is central, so its left and right cosets agree
-    r = len(reps)
     g_rb = G.table[reps[:, None], reps]  # [a, b]: r_a r_b = z r_c
     c = number[g_rb]
-    basis = np.zeros((r, r, r), dtype=np.complex128)
-    basis[np.arange(r)[:, None], c, np.arange(r)] = chi_of[G.table[g_rb, G.inverse[reps[c]]]]
-    tr = np.trace(basis, axis1=1, axis2=2) / r
-    return StarAlgebra(basis, tr, label=f"C[{G.name}]@chi")
+    return _translation_algebra(c, chi_of[G.table[g_rb, G.inverse[reps[c]]]], f"C[{G.name}]@chi")
 
 
 def fiber_decomposition(G: FiniteGroup, N: Subgroup, seed: int = 0) -> list[tuple[dict, StarAlgebra]]:
@@ -680,8 +703,7 @@ def verify_imprimitivity(B: StarAlgebra, H: Subgroup, sys: TwistedSystem, seed: 
         raise ValueError("system group does not match the subgroup")
     number, t = coset_index(G, H)
     m, q, nB, DB = G.order, len(t), B.dim, B.rep_dim
-    if q * nB * m > CROSSED_CAP:
-        raise ResourceCapError("induced crossed product exceeds the resource cap")
+    check_crossed_cap(q * nB * m)
     tbl, inv, g, x = G.table, G.inverse, np.arange(m)[:, None], np.arange(q)
     pos = np.zeros(m, dtype=np.int64)
     pos[emb] = np.arange(len(emb))
@@ -689,10 +711,12 @@ def verify_imprimitivity(B: StarAlgebra, H: Subgroup, sys: TwistedSystem, seed: 
     gx = number[tbl[g, t]]
     kappa = pos[tbl[tbl[inv[t[gx]], g], t]]
     nA = q * nB
-    basis = np.zeros((q, nB, q, DB, q, DB), dtype=np.complex128)
-    basis[x, :, x, :, x, :] = B.basis  # b_i in diagonal block x
+    col = np.zeros((q, nB, q, DB), dtype=np.int64)  # b_i in diagonal block x, at index x * nB + i
+    val = np.zeros((q, nB, q, DB), dtype=np.complex128)
+    col[x, :, x, :] = B.col + DB * x[:, None, None]
+    val[x, :, x, :] = B.val
     tr = np.tile(B.trace_vector / q, q)
-    A = StarAlgebra(basis.reshape(nA, q * DB, q * DB), tr, label=f"Ind({B.label})")
+    A = StarAlgebra(col.reshape(nA, q * DB), val.reshape(nA, q * DB), tr, label=f"Ind({B.label})")
     alpha = np.zeros((m, q, nB, q, nB), dtype=np.complex128)
     alpha[g, gx, :, x, :] = sys.alpha[kappa]
     # omega(g1, g2) on block x: kappa(g1, y1) with y1 = g1^-1 x, kappa(g2, y2) with y2 = g2^-1 y1
@@ -728,8 +752,7 @@ def verify_stabilization(sys: TwistedSystem, seed: int = 0) -> dict:
     (x) M_|F| and (A (x) M_|F|) x_beta F are compared."""
     A, F = sys.algebra, sys.group
     f, n, D = F.order, A.dim, A.rep_dim
-    if n * f * f > CROSSED_CAP:
-        raise ResourceCapError("stabilized system exceeds the resource cap")
+    check_crossed_cap(n * f**3)  # the crossed product of the stabilized system
     big = tensor_algebra(A, matrix_algebra(f))
     Dt = D * f
     # everything below uses the same kron(A-factor, M_f-factor) layout as
@@ -764,8 +787,9 @@ def verify_stabilization(sys: TwistedSystem, seed: int = 0) -> dict:
     if sigma_dev > TOL:
         raise VerificationError(f"stabilization cocycle deviates from 1 by {sigma_dev:.2e}")
     beta = np.zeros((f, big.dim, big.dim), dtype=np.complex128)
+    basis = big.basis
     for s in range(f):
-        beta[s] = big.coords_batch(v[s] @ alpha_tensor(s, big.basis) @ v[s].conj().T).T
+        beta[s] = big.coords_batch(v[s] @ alpha_tensor(s, basis) @ v[s].conj().T).T
     stab = TwistedSystem(big, F, beta, np.broadcast_to(big.unit_coords, (f, f, big.dim)).copy())
     right = block_profile(crossed_product(stab), seed)
     twisted = crossed_product(sys)

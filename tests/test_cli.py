@@ -342,6 +342,31 @@ class TestClassifyCap:
         assert code == 0 and json.loads(out)["class"] == "Q8"
 
 
+class TestCrossedCap:
+    # each request's largest crossed product is refused before any cocycle or system
+    @pytest.mark.parametrize(
+        "argv,dim",
+        [
+            (("crossed", "--group", "dihedral:2049", "--normal", "center"), 4098),
+            (("imprimitivity", "--group", "cyclic:65", "--subgroup", "0"), 65 * 65),
+            (("stabilize", "--group", "cyclic:17"), 17**3),
+            (("stabilize", "--group", "cyclic:65"), 65**3),
+        ],
+    )
+    def test_checked_before_any_system(self, argv, dim, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cocycle or system was built")
+
+        for name in ("trivial_cocycle", "load_cocycle", "system_from_normal", "scalar_system"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (1, "", f"error: crossed product dimension {dim} exceeds 4096\n")
+
+    def test_at_cap_still_runs(self):
+        code, out, _ = invoke("stabilize", "--group", "cyclic:2")
+        assert code == 0 and json.loads(out)["matches"]
+
+
 class TestCardinalityCap:
     def test_twelve_levels_print_exactly(self):
         # |K wr C2| = 2 |K|^2, so level n has 2^(2^(n+1) - 1) elements
@@ -573,6 +598,13 @@ class TestAlgebraGoldenBytes:
          '{"ambient_dim":32,"ambient_profile":[4,4],"compressed_dim":2,'
          '"compressed_profile":[1,1],"index":4,"matches":true}\n',
          "induced from a subgroup of index 4\n"),
+        ("imprimitivity --group symmetric:4 --subgroup gen:1",
+         '{"ambient_dim":288,"ambient_profile":[12,12],"compressed_dim":2,'
+         '"compressed_profile":[1,1],"index":12,"matches":true}\n',
+         "induced from a subgroup of index 12\n"),
+        ("crossed --group symmetric:4 --normal center",
+         '{"blocks":[1,1,2,3,3],"dim":24}\n',
+         "crossed product: fiber over subgroup of order 1, quotient of order 24\n"),
         ("stabilize --group klein --cocycle paper-klein",
          '{"matches":true,"sigma_deviation":2.4492935982947064e-16,'
          '"stabilized_profile":[8],"tensored_profile":[8],"twisted_profile":[2]}\n',

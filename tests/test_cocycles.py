@@ -2,11 +2,13 @@
 
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from twistkit import cocycles
 from twistkit.cli import run
 from twistkit.cocycles import (
     MAX_DENOMINATOR,
@@ -132,6 +134,45 @@ class TestIdentityCheck:
         om = trivial_cocycle(cyclic(3))
         with pytest.raises(ValueError):
             om.angles[0, 0] = F(1, 2)
+
+
+def _first_failing_triple(G, num, q):
+    # the unchunked reference scan over all m^3 triples in row-major order
+    t = G.table
+    excess = (num[:, t] + num[None, :, :] - num[t, :] - num[:, :, None]) % q
+    return tuple(int(x) for x in np.argwhere(excess)[0])
+
+
+class TestIdentityCheckChunks:
+    def test_order_200_check_stays_small(self):
+        # one unchunked (200, 200, 200) int64 temporary alone is 64 MB
+        G = dihedral(100)
+        tracemalloc.start()
+        try:
+            om = trivial_cocycle(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert om.is_trivial_table()
+        assert peak < 32 * 2**20, f"identity check peaked at {peak / 2**20:.1f} MB"
+
+    def test_every_single_corruption_reported_at_the_reference_triple(self, monkeypatch):
+        # one g1 row per chunk, so the scan runs 12 chunks and a witness past
+        # the first chunk must carry its chunk's offset
+        G = dihedral(6)
+        m = G.order
+        monkeypatch.setattr(cocycles, "_TRIPLE_CHUNK", m * m)
+        chunks = set()
+        for i in range(m):
+            for j in range(m):
+                num = np.zeros((m, m), dtype=np.int64)
+                num[i, j] = 1
+                want = _first_failing_triple(G, num, 3)
+                with pytest.raises(IdentityViolationError) as ei:
+                    Cocycle2(G, num, 3)
+                assert ei.value.triple == want, (i, j)
+                chunks.add(want[0])
+        assert chunks == {0, 1}
 
 
 def _c3_coboundary_table(denom, normalized=True):

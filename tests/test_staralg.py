@@ -1,5 +1,6 @@
 """Matrix *-algebras, block profiles, twisted systems, crossed products."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,7 @@ from twistkit.staralg import (
     cutdown_fiber,
     fiber_decomposition,
     matrix_algebra,
+    monomial_rows,
     scalar_algebra,
     scalar_system,
     system_from_normal,
@@ -76,7 +78,7 @@ class TestStarAlgebra:
         b[0, 0, 0] = 1
         b[1, 0, 0] = 2
         with pytest.raises(ValueError):
-            StarAlgebra(b, np.ones(2))
+            StarAlgebra(*monomial_rows(b), np.ones(2))
 
     def test_adjoint_escape_rejected(self):
         # span{1, E12} is closed under products but not under adjoint
@@ -84,7 +86,7 @@ class TestStarAlgebra:
         b[0] = np.eye(2)
         b[1, 0, 1] = 1
         with pytest.raises(ValueError):
-            StarAlgebra(b, np.array([1.0, 0.0]))
+            StarAlgebra(*monomial_rows(b), np.array([1.0, 0.0]))
 
     def test_product_escape_rejected(self):
         # {1, E12, E21} is closed under adjoint, but E12 E21 = E11 leaves the span
@@ -93,7 +95,7 @@ class TestStarAlgebra:
         b[1, 0, 1] = 1
         b[2, 1, 0] = 1
         with pytest.raises(ValueError, match="outside the algebra span"):
-            StarAlgebra(b, np.array([1.0, 0.0, 0.0]))
+            StarAlgebra(*monomial_rows(b), np.array([1.0, 0.0, 0.0]))
 
     def test_one_escaping_pair_found_in_large_family(self):
         # the matrix units of M_14 on the first 14 coordinates and X = E_{14,15} + E_{15,14}:
@@ -107,9 +109,9 @@ class TestStarAlgebra:
         b[-1, 14, 15] = b[-1, 15, 14] = 1
         assert len(b) ** 2 * D * D > 4_000_000
         with pytest.raises(ValueError, match="outside the algebra span"):
-            StarAlgebra(b, np.zeros(len(b)))
+            StarAlgebra(*monomial_rows(b), np.zeros(len(b)))
         # without X the family is closed, and it is accepted
-        assert StarAlgebra(b[:-1], np.zeros(d * d)).dim == d * d
+        assert StarAlgebra(*monomial_rows(b[:-1]), np.zeros(d * d)).dim == d * d
         # a closed algebra of the same size is accepted
         assert matrix_algebra(13).dim == 13 * 13
 
@@ -119,17 +121,17 @@ class TestStarAlgebra:
         rng = np.random.default_rng(7)
         m = rng.standard_normal((n, D, D)) + 1j * rng.standard_normal((n, D, D))
         with pytest.raises(ValueError, match="not a disjoint monomial family"):
-            StarAlgebra(m + m.conj().transpose(0, 2, 1), np.zeros(n))
+            StarAlgebra(*monomial_rows(m + m.conj().transpose(0, 2, 1)), np.zeros(n))
 
     def test_monomial_family_rules(self):
         # two nonzeros in one row of one matrix
         b = np.zeros((1, 2, 2), dtype=complex)
         b[0, 0] = 1
         with pytest.raises(ValueError, match="row or column"):
-            StarAlgebra(b, np.ones(1))
+            StarAlgebra(*monomial_rows(b), np.ones(1))
         # a zero matrix
         with pytest.raises(ValueError, match="linearly dependent"):
-            StarAlgebra(np.stack([np.eye(2), np.zeros((2, 2))]), np.array([1.0, 0.0]))
+            StarAlgebra(*monomial_rows(np.stack([np.eye(2), np.zeros((2, 2))])), np.array([1.0, 0.0]))
 
     def test_partial_and_skewed_products_rejected(self):
         # {E11, E22, X = E12 + E21}: X X = E11 + E22 meets two supports and lies in
@@ -138,20 +140,20 @@ class TestStarAlgebra:
         b[0, 0, 0] = b[1, 1, 1] = 1
         b[2, 0, 1] = b[2, 1, 0] = 1
         with pytest.raises(ValueError, match="outside the algebra span"):
-            StarAlgebra(b, np.array([0.5, 0.5, 0.0]))
+            StarAlgebra(*monomial_rows(b), np.array([0.5, 0.5, 0.0]))
         # {Y = diag(1, 2), X}: Y Y = diag(1, 4) covers supp(Y) with the wrong ratio
         b = np.zeros((2, 2, 2), dtype=complex)
         b[0] = np.diag([1.0, 2.0])
         b[1, 0, 1] = b[1, 1, 0] = 1
         with pytest.raises(ValueError, match="outside the algebra span"):
-            StarAlgebra(b, np.array([1.0, 0.0]))
+            StarAlgebra(*monomial_rows(b), np.array([1.0, 0.0]))
 
     def test_coords_round_trip_and_escape(self):
         A = matrix_algebra(2)
         M = np.array([[1, 2j], [0, -1]], dtype=complex)
         assert np.abs(A.element(A.coords(M)) - M).max() < 1e-12
         diag = StarAlgebra(
-            np.stack([np.diag([1.0 + 0j, 0]), np.diag([0, 1.0 + 0j])]), np.array([0.5, 0.5])
+            *monomial_rows(np.stack([np.diag([1.0 + 0j, 0]), np.diag([0, 1.0 + 0j])])), np.array([0.5, 0.5])
         )
         with pytest.raises(ValueError):
             diag.coords(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -168,7 +170,7 @@ class TestBlockProfile:
 
     def test_commutative_diagonal(self):
         basis = np.stack([np.diag([1.0 + 0j if i == j else 0 for j in range(4)]) for i in range(4)])
-        A = StarAlgebra(basis, np.full(4, 0.25))
+        A = StarAlgebra(*monomial_rows(basis), np.full(4, 0.25))
         assert block_profile(A).blocks == (1, 1, 1, 1)
 
     def test_group_algebras_match_degree_oracle(self):
@@ -428,6 +430,22 @@ class TestImprimitivity:
         sys = scalar_system(Hgrp, trivial_cocycle(Hgrp))
         with pytest.raises(ValueError):
             verify_imprimitivity(matrix_algebra(2), He, sys)
+
+    def test_s4_induced_crossed_product_memory(self):
+        # the ambient crossed product has dimension 288 on 288 x 288 matrices; a
+        # dense basis of it alone would be 288^3 complex entries, 382 MB
+        S4 = symmetric(4)
+        H = generated_subgroup(S4, [1])
+        Hgrp, _ = subgroup_as_group(H)
+        sys = scalar_system(Hgrp, trivial_cocycle(Hgrp))
+        tracemalloc.start()
+        try:
+            report = verify_imprimitivity(sys.algebra, H, sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["ambient_dim"] == 288 and report["ambient_profile"] == [12, 12]
+        assert peak < 64 * 2**20, f"verify_imprimitivity peaked at {peak / 2**20:.1f} MB"
 
 
 class TestStabilization:
