@@ -34,6 +34,7 @@ from .extensions import check_classify_cap, classify_extension, extension_report
 from .groups import (
     FiniteGroup,
     Subgroup,
+    builtin_order,
     center,
     generated_subgroup,
     group_from_json,
@@ -197,6 +198,7 @@ def _cmd_fibers(args):
 
 
 def _cmd_crossed(args):
+    check_crossed_cap(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     check_crossed_cap(G.order)  # before any cocycle or system is built
     N = load_subgroup(args.normal, G)
@@ -213,6 +215,7 @@ def _cmd_crossed(args):
 
 
 def _cmd_imprimitivity(args):
+    check_crossed_cap(builtin_order(args.group) or 0)  # [G:H] |G| >= |G|, before any table
     G = load_group(args.group)
     S = load_subgroup(args.subgroup, G)
     check_crossed_cap(G.order // S.order * G.order)  # the induced crossed product
@@ -224,6 +227,7 @@ def _cmd_imprimitivity(args):
 
 
 def _cmd_stabilize(args):
+    check_crossed_cap((builtin_order(args.group) or 0) ** 3)  # before any table
     G = load_group(args.group)
     check_crossed_cap(G.order**3)  # the crossed product of the stabilized system
     omega = load_cocycle(args.cocycle, G) if args.cocycle else trivial_cocycle(G)

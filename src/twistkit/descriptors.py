@@ -16,6 +16,7 @@ hypotheses instead of guessing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,22 @@ def Zinv(p: int) -> Atom:
 # cardinality
 
 
+def _once_per_node(fn):
+    """Evaluate fn once per descriptor node and keep the value on the frozen
+    node; an exception is raised afresh on every call."""
+    key = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def evaluate(d):
+        kept = getattr(d, "__dict__", {})  # fn itself refuses a non-descriptor
+        if key not in kept:
+            kept[key] = fn(d)
+        return kept[key]
+
+    return evaluate
+
+
+@_once_per_node
 def cardinality(d: GroupDescriptor) -> float | None:
     """Number of elements: a positive integer, INF, or None when the AST
     does not determine it."""
@@ -217,6 +234,7 @@ def _card_product(a: float | None, b: float | None) -> float | None:
 # Hirsch length
 
 
+@_once_per_node
 def hirsch_length(d: GroupDescriptor) -> float:
     """Hirsch length in non-negative integers extended by INF.
 

@@ -16,7 +16,6 @@ algebra down to one twisted-algebra fiber.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
@@ -29,6 +28,7 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     Subgroup,
+    canonical_table,
     center,
     cyclic,
     dihedral,
@@ -178,37 +178,8 @@ def _builtin_candidates(order: int):
 
 
 def _canonical_fingerprint(G: FiniteGroup) -> str:
-    """Relabeling-invariant hash: the lexicographically least Cayley table
-    over breadth-first relabelings rooted at every generating sequence of
-    the shortest length."""
-    m = G.order
-    tbl = G.table
-    best: bytes | None = None
-    for length in range(1, m):
-        for seq in itertools.permutations(range(1, m), length):
-            order = [0]
-            pos = {0}
-            qi = 0
-            while qi < len(order) and len(order) < m:
-                x = order[qi]
-                qi += 1
-                for g in seq:
-                    y = int(tbl[x, g])
-                    if y not in pos:
-                        pos.add(y)
-                        order.append(y)
-            if len(order) < m:
-                continue
-            inv = np.empty(m, dtype=np.int64)
-            for new_i, old in enumerate(order):
-                inv[old] = new_i
-            cand = inv[tbl[np.ix_(order, order)]].tobytes()
-            if best is None or cand < best:
-                best = cand
-        if best is not None:
-            break
-    assert best is not None
-    return "unclassified:" + hashlib.sha256(best).hexdigest()[:16]
+    """Relabeling-invariant hash: that of the canonical Cayley table."""
+    return "unclassified:" + hashlib.sha256(canonical_table(G).tobytes()).hexdigest()[:16]
 
 
 def check_classify_cap(order: int) -> None:

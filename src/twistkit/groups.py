@@ -345,15 +345,30 @@ def builtin(name: str, *params: int) -> FiniteGroup:
     return fn(*params)
 
 
+def _parse_spec(spec: str) -> tuple[str, tuple[int, ...]]:
+    name, _, params = spec.partition(":")
+    try:
+        return name, tuple(int(p) for p in params.split(",")) if params else ()
+    except ValueError:
+        raise ValueError(f"malformed group parameters in {spec!r}") from None
+
+
 def resolve_group_string(spec: str) -> FiniteGroup:
     """Parse 'klein', 'quaternion8', or parameterized forms like
     'cyclic:12', 'dihedral:4', 'symmetric:3'."""
-    name, _, params = spec.partition(":")
-    try:
-        args = tuple(int(p) for p in params.split(",")) if params else ()
-    except ValueError:
-        raise ValueError(f"malformed group parameters in {spec!r}") from None
+    name, args = _parse_spec(spec)
     return builtin(name, *args)
+
+
+def builtin_order(spec: str) -> int | None:
+    """The order a builtin group string names, from its parameters alone, so
+    before any table is built; None where _BUILTINS gives no order."""
+    try:
+        name, args = _parse_spec(spec)
+    except ValueError:
+        return None
+    _, arity, order = _BUILTINS.get(name, (None, None, None))
+    return order(*args) if order and len(args) == arity else None
 
 
 # ---------------------------------------------------------------------------
@@ -551,65 +566,37 @@ def element_order_profile(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(element_orders(G).tolist()))
 
 
-def is_isomorphic_small(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """Exact isomorphism test for groups of order <= 16.
+def canonical_table(G: FiniteGroup) -> np.ndarray:
+    """The Cayley table least in byte order among the breadth-first relabelings
+    along every shortest generating sequence; isomorphisms carry these onto
+    each other, so the table is equal exactly for isomorphic groups."""
+    m, tbl, rows = G.order, G.table, G.table.tolist()
+    for length in range(1, m):
+        best = None
+        for seq in permutations(range(1, m), length):
+            order = [0]
+            for x in order:  # grows while it is read: a breadth-first walk from the identity
+                if len(order) == m:
+                    break
+                order += [y for y in map(rows[x].__getitem__, seq) if y not in order]
+            if len(order) < m:
+                continue
+            o = np.array(order)
+            cand = np.argsort(o)[tbl[o[:, None], o]].tobytes()  # element o[k] becomes k
+            if best is None or cand < best:
+                best = cand
+        if best is not None:
+            return np.frombuffer(best, dtype=np.int64).reshape(m, m)
+    return tbl  # the trivial group has only its own table
 
-    Backtracks over images of a generating sequence, pruned by element
-    orders; a candidate assignment is closed into a full map by walking the
-    Cayley graph, which checks multiplicativity everywhere.
-    """
+
+def is_isomorphic_small(G: FiniteGroup, H: FiniteGroup) -> bool:
+    """Exact isomorphism test for groups of order <= 16: equal orders,
+    element-order profiles and canonical tables."""
     if G.order != H.order:
         return False
     if G.order > 16:
         raise ResourceCapError(f"isomorphism search capped at order 16, got {G.order}")
     if element_order_profile(G) != element_order_profile(H):
         return False
-    if G.is_abelian() != H.is_abelian():
-        return False
-    if center(G).order != center(H).order:
-        return False
-
-    # largest order first to shrink the search
-    gens = generating_sequence(G)
-    h_orders = element_orders(H)
-
-    def extend(assigned: dict[int, int], images: list[int]) -> bool:
-        if len(images) == len(gens):
-            return len(assigned) == G.order
-        g = gens[len(images)]
-        want = G.order_of(g)
-        for h in H.elements():
-            if h_orders[h] != want or h in assigned.values():
-                continue
-            trial = dict(assigned)
-            trial[g] = h
-            if _close_map(G, H, trial, gens[: len(images) + 1], images + [h]):
-                if extend(trial, images + [h]):
-                    return True
-        return False
-
-    def _close_map(G, H, partial, cur_gens, cur_imgs) -> bool:
-        # saturate under right multiplication by the chosen generators,
-        # rejecting any inconsistency or collision
-        queue = list(partial.keys())
-        values = set(partial.values())
-        if len(values) != len(partial):
-            return False
-        while queue:
-            x = queue.pop()
-            fx = partial[x]
-            for g, h in zip(cur_gens, cur_imgs):
-                y = G.mul(x, g)
-                fy = H.mul(fx, h)
-                if y in partial:
-                    if partial[y] != fy:
-                        return False
-                else:
-                    if fy in values:
-                        return False
-                    partial[y] = fy
-                    values.add(fy)
-                    queue.append(y)
-        return True
-
-    return extend({0: 0}, [])
+    return np.array_equal(canonical_table(G), canonical_table(H))

@@ -19,7 +19,9 @@ works from them alone; the dense (n, D, D) basis is formed only on request:
   adjoints and positivity of the trace's Gram matrix are checked for every
   pair, in chunks, and the products' coordinates are kept as sparse
   structure constants;
-- the center is the null space of (2n, n) commutator coordinates.
+- the center is the null space of (2n, n) commutator coordinates;
+- twisted systems (phased basis permutations, monomial unitary cocycles)
+  are checked, crossed, induced and stabilized by composing RowMaps.
 
 Everything downstream reduces to one primitive: the block profile, the
 multiset of simple block dimensions {d_1 <= ... <= d_k} obtained by
@@ -67,20 +69,44 @@ def check_crossed_cap(dim: int) -> None:
         raise ResourceCapError(f"crossed product dimension {dim} exceeds {CROSSED_CAP}")
 
 
-def monomial_rows(mats) -> tuple[np.ndarray, np.ndarray]:
-    """Row maps (col, val) of a stack (..., D, D) of matrices with at most one
-    nonzero per row: row r of mats[a] holds val[a, r] in column col[a, r]."""
-    mats = np.asarray(mats, dtype=np.complex128)
-    nonzero = mats != 0
-    if nonzero.sum(axis=-1).max(initial=0) > 1:
-        raise ValueError("basis is not a disjoint monomial family: a row or column holds two nonzeros")
-    col = nonzero.argmax(axis=-1)
-    return col, np.take_along_axis(mats, col[..., None], axis=-1)[..., 0]
-
-
 def _bincount_complex(keys: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     """Sum of the complex weights at each key in range(size)."""
     return np.bincount(keys, weights.real, size) + 1j * np.bincount(keys, weights.imag, size)
+
+
+class RowMaps:
+    """A stack (..., D) of monomial D x D matrices by their row maps, laid out
+    like StarAlgebra's (col, val).  Items index like numpy arrays, @ composes
+    them with broadcasting over the leading axes, H is the adjoint and
+    deviation the largest entry of a difference."""
+
+    def __init__(self, col: np.ndarray, val: np.ndarray):
+        self.col, self.val = col, val
+
+    def __getitem__(self, idx) -> "RowMaps":
+        return RowMaps(self.col[idx], self.val[idx])
+
+    def __matmul__(self, other: "RowMaps") -> "RowMaps":
+        # row r of self lands in column c = self.col[r], and row c of other takes it on
+        shape = np.broadcast_shapes(self.col.shape, other.col.shape)
+        mid = np.broadcast_to(self.col, shape)
+        col = np.take_along_axis(np.broadcast_to(other.col, shape), mid, axis=-1)
+        return RowMaps(col, self.val * np.take_along_axis(np.broadcast_to(other.val, shape), mid, axis=-1))
+
+    @property
+    def H(self) -> "RowMaps":
+        # row c of the adjoint holds conj(val[r]) in column r; empty rows write to a spare column
+        *lead, D = self.col.shape
+        col, val = self.col.reshape(-1, D), self.val.reshape(-1, D)
+        a, to = np.arange(len(col))[:, None], np.where(val != 0, col, D)
+        out = RowMaps(*(np.zeros((len(col), D + 1), dtype=dt) for dt in (np.int64, np.complex128)))
+        out.col[a, to], out.val[a, to] = np.arange(D), np.conj(val)
+        return RowMaps(out.col[:, :D].reshape(*lead, D), out.val[:, :D].reshape(*lead, D))
+
+    def deviation(self, other: "RowMaps") -> np.ndarray:
+        """The largest entry of |self - other| in each item."""
+        a, b = np.abs(self.val), np.abs(other.val)
+        return np.where(self.col == other.col, np.abs(self.val - other.val), np.maximum(a, b)).max(axis=-1)
 
 
 class StarAlgebra:
@@ -95,7 +121,9 @@ class StarAlgebra:
     when the span contains the identity.  Construction checks all of this on
     every pair of basis elements and keeps the structure constants: b_i b_j
     has coefficient coef at b_t for each entry of structure = (pair, t, coef)
-    with pair = i * n + j; a pair with a zero product has no entry.
+    with pair = i * n + j; a pair with a zero product has no entry.  Likewise
+    b_i* has coefficient coef at b_t for each entry of adjoints = (i * n + t,
+    coef).  Both tables are sorted by key.
     """
 
     def __init__(self, col, val, trace_vector, label: str = ""):
@@ -144,8 +172,7 @@ class StarAlgebra:
     @property
     def basis(self) -> np.ndarray:
         """The dense (n, D, D) basis, read-only, scattered from the row maps on
-        each access; in this module only the dense checks of twisted systems
-        and stabilization read it."""
+        each access; nothing in this module reads it."""
         out = np.zeros((self.dim, self.rep_dim**2), dtype=np.complex128)
         out[self._owner_of, self._pos] = self._val
         out.setflags(write=False)
@@ -174,8 +201,19 @@ class StarAlgebra:
             raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
         return coords
 
-    def coords(self, mat: np.ndarray, tol: float = TOL) -> np.ndarray:
-        return self.coords_batch(mat[None], tol)[0]
+    def elements(self, coords) -> RowMaps:
+        """Row maps of sum_i c_i b_i for a stack (..., n) of coordinates; each
+        sum must be monomial, as a unit or a block-diagonal unitary is."""
+        c = np.asarray(coords, dtype=np.complex128)
+        flat, D = c.reshape(-1, self.dim), self.rep_dim
+        a, e = np.nonzero(flat[:, self._owner_of])
+        row, col = np.divmod(self._pos[e], D)
+        if max(np.bincount(a * D + row).max(initial=0), np.bincount(a * D + col).max(initial=0)) > 1:
+            raise ValueError("element is not monomial: a row or column holds two nonzeros")
+        out = RowMaps(*(np.zeros((*c.shape[:-1], D), dtype=dt) for dt in (np.int64, np.complex128)))
+        out.col.reshape(-1, D)[a, row] = col  # views of the fresh arrays
+        out.val.reshape(-1, D)[a, row] = flat[a, self._owner_of[e]] * self._val[e]
+        return out
 
     def trace(self, coords) -> complex:
         return complex(np.dot(np.asarray(coords, dtype=np.complex128), self.trace_vector))
@@ -202,10 +240,12 @@ class StarAlgebra:
         return _bincount_complex(flat_keys, weights.ravel(), n * n * m).reshape(n, n, m)
 
     def _find_unit(self):
-        try:
-            return self.coords_batch(np.eye(self.rep_dim, dtype=np.complex128)[None])[0]
-        except ValueError:
-            return None
+        """Coordinates of the identity, gathered over its diagonal; None off the span."""
+        row, col = np.divmod(self._pos, self.rep_dim)
+        diag = row == col
+        coords = np.add.reduceat(np.where(diag, self._weight, 0), self._start)
+        full = np.count_nonzero(diag) == self.rep_dim
+        return coords if full and np.abs(coords[self._owner_of] * self._val - diag).max() <= TOL else None
 
     # -- validation --------------------------------------------------------
 
@@ -264,15 +304,11 @@ class StarAlgebra:
         if resid > TOL * scale:
             raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
         self.structure = (np.concatenate(pairs), np.concatenate(targets), np.concatenate(coefs))
-        # row c of b_i* holds conj(b_i[r, c]) in column r
-        row, col = np.divmod(self._pos, D)
-        adj_col = np.zeros((n, D), dtype=np.int64)
-        adj_col[self._owner_of, col] = row
-        adj_val = np.zeros((n, D), dtype=np.complex128)
-        adj_val[self._owner_of, col] = np.conj(self._val)
-        key, coef, resid, scale = self._monomial_coords(adj_col, adj_val)
+        adj = RowMaps(self.col, self.val).H
+        key, coef, resid, scale = self._monomial_coords(adj.col, adj.val)
         if resid > TOL * scale:
             raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
+        self.adjoints = (key, coef)
         if self.unit_coords is not None:
             one = self.trace(self.unit_coords)
             if abs(one - 1.0) > 1e-6:
@@ -469,80 +505,96 @@ def block_profile(A: StarAlgebra, seed: int = 0) -> BlockProfile:
 class TwistedSystem:
     """A finite group acting on a StarAlgebra up to a unitary 2-cocycle.
 
-    alpha[s] is the (n, n) coefficient matrix of an automorphism of A;
-    omega[s, t] is the coordinate vector of a unitary in A.  The defining
+    alpha_s permutes the basis up to phases, alpha_s(b_i) = phase[s, i]
+    b_{target[s, i]}, each row of target a permutation of range(n);
+    omega[s, t] is the coordinate vector of a monomial unitary in A.  The
     axioms (identity fixed, unit cocycle on the axes, the Ad-twisted
-    composition law, and the cocycle condition) are all verified within
-    TOL at construction.
+    composition law, the cocycle condition, and that each alpha_s is a
+    *-automorphism, which must carry the structure constants and the adjoint
+    table onto themselves) are verified within TOL at construction.
     """
 
-    def __init__(self, algebra: StarAlgebra, group: FiniteGroup, alpha, omega, check: bool = True):
-        self.algebra = algebra
-        self.group = group
+    def __init__(self, algebra: StarAlgebra, group: FiniteGroup, target, phase, omega):
+        self.algebra, self.group = algebra, group
         f, n = group.order, algebra.dim
-        self.alpha = np.asarray(alpha, dtype=np.complex128)
+        self.target = np.asarray(target, dtype=np.int64)
+        self.phase = np.asarray(phase, dtype=np.complex128)
         self.omega = np.asarray(omega, dtype=np.complex128)
-        if self.alpha.shape != (f, n, n):
-            raise ValueError(f"alpha must have shape {(f, n, n)}")
-        if self.omega.shape != (f, f, n):
-            raise ValueError(f"omega must have shape {(f, f, n)}")
+        if self.target.shape != (f, n) or self.phase.shape != (f, n) or self.omega.shape != (f, f, n):
+            raise ValueError(f"target and phase must have shape {(f, n)}, omega {(f, f, n)}")
+        if not np.array_equal(np.sort(self.target, axis=1), np.broadcast_to(np.arange(n), (f, n))):
+            raise ValueError("every row of target must be a permutation of the basis")
         if algebra.unit_coords is None:
             raise ValueError("twisted systems need a unital coefficient algebra")
-        if check:
-            self._validate()
+        self._validate()
+
+    def image(self, s, i, scale=1.0) -> RowMaps:
+        """Row maps of scale * alpha_s(b_i); s, i and scale broadcast."""
+        t = self.target[s, i]
+        return RowMaps(self.algebra.col[t], (self.phase[s, i] * scale)[..., None] * self.algebra.val[t])
+
+    def act(self, r, coords) -> np.ndarray:
+        """Coordinates [r, ..., :] of alpha_r(x), r an index array, x a stack (..., n)."""
+        inv = np.argsort(self.target[r], axis=1)  # alpha_r(b_inv[r, u]) is a multiple of b_u
+        moved = np.asarray(coords)[..., inv] * np.take_along_axis(self.phase[r], inv, axis=1)
+        return np.moveaxis(moved, -2, 0)
 
     def _validate(self):
         A, F = self.algebra, self.group
-        f, n = F.order, A.dim
-        unit = A.unit_coords
-        if np.abs(self.alpha[0] - np.eye(n)).max() > TOL:
+        f, n, D, mul = F.order, A.dim, A.rep_dim, F.table
+        if not np.array_equal(self.target[0], np.arange(n)) or np.abs(self.phase[0] - 1).max() > TOL:
             raise VerificationError("alpha at the identity is not the identity map")
-        if np.abs(self.omega[:, 0] - unit).max() > TOL or np.abs(self.omega[0] - unit).max() > TOL:
+        if np.abs(np.concatenate([self.omega[:, 0], self.omega[0]]) - A.unit_coords).max() > TOL:
             raise VerificationError("omega is not the unit along the identity row/column")
-        D, mul = A.rep_dim, F.table
-        wmats = A.element(self.omega)  # (f, f, D, D)
-        wadj = wmats.conj().swapaxes(-1, -2)
-        _fail_first(np.abs(wmats @ wadj - np.eye(D)).max(axis=(-2, -1)), "omega({},{}) is not unitary")
-        amats = A.element(self.alpha.swapaxes(1, 2))  # amats[g, i] = alpha_g(b_i)
-        # alpha_s alpha_t = Ad(omega(s,t)) alpha_{st}, all t at once
-        for s in range(f):
-            conjd = wmats[s, :, None] @ amats[mul[s]] @ wadj[s, :, None]  # (t, i, D, D)
-            rhs = A.coords_batch(conjd.reshape(f * n, D, D)).reshape(f, n, n).swapaxes(1, 2)
-            dev = np.abs(self.alpha[s] @ self.alpha - rhs).max(axis=(1, 2))
-            _fail_first(dev, f"composition axiom fails at ({s},{{}})")
-        # alpha_r(omega(s,t)) omega(r,st) = omega(r,s) omega(rs,t), all (s, t) at once
-        for r in range(f):
-            lhs = A.element(self.omega @ self.alpha[r].T) @ wmats[r, mul]
-            rhs = wmats[r, :, None] @ wmats[mul[r]]
-            _fail_first(np.abs(lhs - rhs).max(axis=(-2, -1)), f"cocycle axiom fails at ({r},{{}},{{}})")
-        # sampled automorphism property: multiplicative and *-preserving; per s,
-        # count products b_i b_j and one adjoint b_k*, in one coords_batch
-        rng = np.random.default_rng(f * 1009 + n)
-        count = min(n * n, 64)
-        basis = A.basis
-        for s in range(f):
-            i, j = np.array([[int(rng.integers(n)), int(rng.integers(n))] for _ in range(count)]).T
-            k = int(rng.integers(n))
-            mats = np.concatenate([basis[i] @ basis[j], basis[k].conj().T[None]])
-            moved = A.element(A.coords_batch(mats) @ self.alpha[s].T)
-            if np.abs(moved[:-1] - amats[s, i] @ amats[s, j]).max() > TOL:
-                raise VerificationError(f"alpha({s}) is not multiplicative")
-            if np.abs(moved[-1] - amats[s, k].conj().T).max() > TOL:
-                raise VerificationError(f"alpha({s}) does not preserve the adjoint")
+        W = A.elements(self.omega)  # W[s, t] = omega(s, t)
+        _fail_first((W @ W.H).deviation(RowMaps(np.arange(D), np.ones(D))), "omega({},{}) is not unitary")
+        for S in _chunks(f, f * n * D):
+            # alpha_s alpha_t (b_i) = omega(s,t) alpha_st(b_i) omega(s,t)*, over [s, t, i]
+            twice = self.image(S[:, None, None], self.target, self.phase)
+            conj = W[S, :, None] @ self.image(mul[S][..., None], np.arange(n)) @ W[S, :, None].H
+            _fail_first(twice.deviation(conj).max(axis=2), "composition axiom fails at ({},{})", S[0])
+        for R in _chunks(f, f * f * (n + D)):
+            # alpha_r(omega(s,t)) omega(r,st) = omega(r,s) omega(rs,t), over [r, s, t]
+            lhs = A.elements(self.act(R, self.omega)) @ W[R[:, None, None], mul]
+            _fail_first(lhs.deviation(W[R, :, None] @ W[mul[R]]), "cocycle axiom fails at ({},{},{})", R[0])
+        # alpha_s is a *-automorphism when it carries every product b_i b_j, with
+        # coef at b_t, to alpha_s(b_i) alpha_s(b_j) and every adjoint likewise
+        (pair, t, c), (akey, ac) = A.structure, A.adjoints
+        key, (i, j), (ai, at) = pair * n + t, np.divmod(pair, n), np.divmod(akey, n)
+        for S in _chunks(f, len(key) + len(akey)):
+            T, p = self.target[S], self.phase[S]
+            mult = _carried(key, c, (T[:, i] * n + T[:, j]) * n + T[:, t], c * p[:, t], p[:, i] * p[:, j])
+            star = _carried(akey, ac, T[:, ai] * n + T[:, at], ac * p[:, at], np.conj(p[:, ai]))
+            fault = np.where(mult, "does not preserve the adjoint", "is not multiplicative")
+            for s in np.flatnonzero(~(mult & star))[:1]:
+                raise VerificationError(f"alpha({S[s]}) {fault[s]}")
 
 
-def _fail_first(dev: np.ndarray, message: str):
-    """Raise for the first index, in row-major order, where dev exceeds TOL."""
+def _chunks(f: int, entries: int):
+    """Index arrays covering range(f), of about _CHUNK entries at so many per index."""
+    step = max(1, _CHUNK // max(1, entries))
+    return (np.arange(s0, min(f, s0 + step)) for s0 in range(0, f, step))
+
+
+def _carried(key, coef, moved_key, moved_coef, scale) -> np.ndarray:
+    """For each row of moved_key: whether the table (key, coef), sorted by key,
+    holds moved_coef / scale at each of these keys, as many as its own."""
+    at = np.searchsorted(key, moved_key).clip(max=len(key) - 1)
+    return ((key[at] == moved_key) & (np.abs(coef[at] * scale - moved_coef) <= TOL)).all(axis=-1)
+
+
+def _fail_first(dev: np.ndarray, message: str, offset: int = 0):
+    """Raise for the first index, in row-major order, where dev exceeds TOL;
+    the first axis counts from offset."""
     bad = np.argwhere(dev > TOL)
     if len(bad):
-        raise VerificationError(message.format(*bad[0]))
+        raise VerificationError(message.format(bad[0][0] + offset, *bad[0][1:]))
 
 
 def trivial_system(A: StarAlgebra, F: FiniteGroup) -> TwistedSystem:
     f, n = F.order, A.dim
-    alpha = np.broadcast_to(np.eye(n, dtype=np.complex128), (f, n, n)).copy()
-    omega = np.broadcast_to(A.unit_coords, (f, f, n)).copy()
-    return TwistedSystem(A, F, alpha, omega)
+    target = np.broadcast_to(np.arange(n), (f, n))
+    return TwistedSystem(A, F, target, np.ones((f, n)), np.broadcast_to(A.unit_coords, (f, f, n)))
 
 
 def scalar_system(F: FiniteGroup, omega: Cocycle2) -> TwistedSystem:
@@ -550,9 +602,8 @@ def scalar_system(F: FiniteGroup, omega: Cocycle2) -> TwistedSystem:
     if not np.array_equal(F.table, omega.group.table):
         raise ValueError("cocycle lives on a different group")
     omega, _ = normalize(omega)
-    alpha = np.ones((F.order, 1, 1), dtype=np.complex128)
     table = _phase(omega.num / omega.q)[:, :, None]
-    return TwistedSystem(scalar_algebra(), F, alpha, table)
+    return TwistedSystem(scalar_algebra(), F, np.zeros((F.order, 1)), np.ones((F.order, 1)), table)
 
 
 def system_from_normal(G: FiniteGroup, N: Subgroup, sigma: Cocycle2 | None = None) -> TwistedSystem:
@@ -588,16 +639,13 @@ def system_from_normal(G: FiniteGroup, N: Subgroup, sigma: Cocycle2 | None = Non
     # each phase is a sum of two numerators, left unreduced below 2q: exact as a float
     # alpha_s(u_n) = sigma(c, n) sigma(cn, c^-1) u_{c n c^-1}
     cn, cinv = tbl[c, emb], inv[c]
-    alpha = np.zeros((q, nn, nn), dtype=np.complex128)
-    alpha[np.arange(q)[:, None], pos[tbl[cn, cinv]], np.arange(nn)] = _phase(
-        (num[c, emb] + num[cn, cinv]) / sigma.q
-    )
+    phase = _phase((num[c, emb] + num[cn, cinv]) / sigma.q)
     # omega(s, t) = sigma(c(s), c(t)) sigma(c(s)c(t), c(st)^-1) u_{c(s) c(t) c(st)^-1}
     cc, cst_inv = tbl[c, c.T], inv[c.ravel()[Q.table]]
     omega = np.zeros((q, q, nn), dtype=np.complex128)
     s, t = np.indices((q, q))
     omega[s, t, pos[tbl[cc, cst_inv]]] = _phase((num[c, c.T] + num[cc, cst_inv]) / sigma.q)
-    return TwistedSystem(B, Q, alpha, omega)
+    return TwistedSystem(B, Q, pos[tbl[cn, cinv]], phase, omega)
 
 
 def crossed_product(sys: TwistedSystem) -> StarAlgebra:
@@ -612,16 +660,11 @@ def crossed_product(sys: TwistedSystem) -> StarAlgebra:
     f, n, D = F.order, A.dim, A.rep_dim
     check_crossed_cap(n * f)
     # block row g of pi(b_i) lambda_s is alpha_{g^-1}(b_i) omega(g^-1, s), in block column s^-1 g
-    col = np.zeros((n, f, f, D), dtype=np.int64)  # [i, s, g, a]: row g * D + a of basis i * f + s
-    val = np.zeros((n, f, f, D), dtype=np.complex128)
-    for g in range(f):
-        ginv = F.inv(g)
-        blocks = A.element(sys.alpha[ginv].T)[:, None] @ A.element(sys.omega[ginv])[None]  # (i, s, D, D)
-        c, val[:, :, g] = monomial_rows(blocks)
-        col[:, :, g] = c + D * F.table[F.inverse, g][:, None]
-    tr = np.zeros(n * f, dtype=np.complex128)
-    tr[0 :: f] = A.trace_vector
-    return StarAlgebra(col.reshape(n * f, f * D), val.reshape(n * f, f * D), tr, label=f"{A.label} x {F.name}")
+    ginv = F.inverse[None, None, :]
+    rows = sys.image(ginv, np.arange(n)[:, None, None]) @ A.elements(sys.omega)[ginv, np.arange(f)[:, None]]
+    col = rows.col + D * F.table[F.inverse][..., None]  # [i, s, g, a]: row g * D + a of basis i * f + s
+    tr = np.kron(A.trace_vector, np.arange(f) == 0)
+    return StarAlgebra(col.reshape(n * f, -1), rows.val.reshape(n * f, -1), tr, label=f"{A.label} x {F.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +745,7 @@ def verify_imprimitivity(B: StarAlgebra, H: Subgroup, sys: TwistedSystem, seed: 
     if not np.array_equal(Hgrp.table, sys.group.table):
         raise ValueError("system group does not match the subgroup")
     number, t = coset_index(G, H)
-    m, q, nB, DB = G.order, len(t), B.dim, B.rep_dim
+    m, q, nB = G.order, len(t), B.dim
     check_crossed_cap(q * nB * m)
     tbl, inv, g, x = G.table, G.inverse, np.arange(m)[:, None], np.arange(q)
     pos = np.zeros(m, dtype=np.int64)
@@ -710,20 +753,14 @@ def verify_imprimitivity(B: StarAlgebra, H: Subgroup, sys: TwistedSystem, seed: 
     # g t_x = t_{gx} kappa(g, x) with kappa(g, x) in H, indexed [g, x]
     gx = number[tbl[g, t]]
     kappa = pos[tbl[tbl[inv[t[gx]], g], t]]
-    nA = q * nB
-    col = np.zeros((q, nB, q, DB), dtype=np.int64)  # b_i in diagonal block x, at index x * nB + i
-    val = np.zeros((q, nB, q, DB), dtype=np.complex128)
-    col[x, :, x, :] = B.col + DB * x[:, None, None]
-    val[x, :, x, :] = B.val
-    tr = np.tile(B.trace_vector / q, q)
-    A = StarAlgebra(col.reshape(nA, q * DB), val.reshape(nA, q * DB), tr, label=f"Ind({B.label})")
-    alpha = np.zeros((m, q, nB, q, nB), dtype=np.complex128)
-    alpha[g, gx, :, x, :] = sys.alpha[kappa]
+    # b_i in diagonal block x, at index x * nB + i, and alpha_g(e_x (x) b_i) = e_gx (x) alpha_kappa(g,x)(b_i)
+    A = tensor_algebra(StarAlgebra(np.diag(x), np.eye(q), np.full(q, 1 / q), label=f"C^{q}"), B)
+    target = (gx[:, :, None] * nB + sys.target[kappa]).reshape(m, q * nB)
     # omega(g1, g2) on block x: kappa(g1, y1) with y1 = g1^-1 x, kappa(g2, y2) with y2 = g2^-1 y1
     y1 = number[tbl[inv[:, None], t]]
     y2 = number[tbl[inv[None, :, None], t[y1][:, None, :]]]
     omega = sys.omega[kappa[g, y1][:, None, :], kappa[g, y2]]  # g broadcasts over the g2 axis
-    induced = TwistedSystem(A, G, alpha.reshape(m, nA, nA), omega.reshape(m, m, nA))
+    induced = TwistedSystem(A, G, target, sys.phase[kappa].reshape(m, q * nB), omega.reshape(m, m, q * nB))
     ambient = block_profile(crossed_product(induced), seed)
     small = block_profile(crossed_product(sys), seed)
     expected = tuple(sorted(d * q for d in small.blocks))
@@ -746,51 +783,33 @@ def verify_stabilization(sys: TwistedSystem, seed: int = 0) -> dict:
 
         v_s = sum_g omega(s, g)* (x) E_{sg, g}
 
-    implement an untwisted action beta_s = Ad(v_s) o (alpha_s (x) id); the
-    exterior-equivalence cocycle v_s (alpha_s (x) id)(v_t) (omega(s,t) (x) 1)
-    v_{st}* is checked to be 1, and the profiles of (A x_{alpha,omega} F)
-    (x) M_|F| and (A (x) M_|F|) x_beta F are compared."""
+    implement an untwisted action beta_s = Ad(v_s) o (alpha_s (x) id), and
+    beta_s(b_i (x) E_kl) = omega(s,k)* alpha_s(b_i) omega(s,l) (x) E_{sk,sl}
+    must be a phased basis element.  The exterior-equivalence cocycle v_s
+    (alpha_s (x) id)(v_t) (omega(s,t) (x) 1) v_{st}* is 1 when each block
+    omega(s,tg)* alpha_s(omega(t,g))* omega(s,t) omega(st,g), composed in
+    that order, is; then (A x_{alpha,omega} F) (x) M_|F| and (A (x) M_|F|)
+    x_beta F must have the same profile."""
     A, F = sys.algebra, sys.group
     f, n, D = F.order, A.dim, A.rep_dim
     check_crossed_cap(n * f**3)  # the crossed product of the stabilized system
-    big = tensor_algebra(A, matrix_algebra(f))
-    Dt = D * f
-    # everything below uses the same kron(A-factor, M_f-factor) layout as
-    # tensor_algebra; the M_f slot of a matrix M is the strided view M[k::f, l::f]
-    v = np.zeros((f, Dt, Dt), dtype=np.complex128)
-    for s in range(f):
-        for g in range(f):
-            W = A.element(sys.omega[s, g]).conj().T
-            unit = np.zeros((f, f))
-            unit[F.mul(s, g), g] = 1.0
-            v[s] += np.kron(W, unit)
-    eye = np.eye(Dt)
-    for s in range(f):
-        if np.abs(v[s] @ v[s].conj().T - eye).max() > TOL:
-            raise VerificationError("stabilizing unitary is not unitary")
-
-    def alpha_tensor(s: int, M: np.ndarray) -> np.ndarray:
-        """alpha_s (x) id on a matrix or a stack, one coords_batch for all of it."""
-        blocks = M.reshape(-1, D, f, D, f).transpose(0, 2, 4, 1, 3)  # [., k, l] = M[k::f, l::f]
-        live = np.abs(blocks).max(axis=(-2, -1)) > 1e-12
-        out = np.zeros_like(blocks)
-        out[live] = A.element(A.coords_batch(blocks[live]) @ sys.alpha[s].T)
-        return out.transpose(0, 3, 1, 4, 2).reshape(M.shape)
-
-    sigma_dev = 0.0
-    for s in range(f):
-        for t in range(f):
-            st = F.mul(s, t)
-            wst = np.kron(A.element(sys.omega[s, t]), np.eye(f))
-            lhs = v[s] @ alpha_tensor(s, v[t]) @ wst @ v[st].conj().T
-            sigma_dev = max(sigma_dev, float(np.abs(lhs - eye).max()))
+    mul, W = F.table, A.elements(sys.omega)
+    s, t, g = np.ogrid[:f, :f, :f]
+    moved = A.elements(sys.act(np.arange(f), sys.omega))  # [s, t, g]: alpha_s(omega(t, g))
+    blocks = W[s, mul[t, g]].H @ moved.H @ W[s, t] @ W[mul[s, t], g]
+    sigma_dev = float(blocks.deviation(RowMaps(np.arange(D), np.ones(D))).max())
     if sigma_dev > TOL:
         raise VerificationError(f"stabilization cocycle deviates from 1 by {sigma_dev:.2e}")
-    beta = np.zeros((f, big.dim, big.dim), dtype=np.complex128)
-    basis = big.basis
-    for s in range(f):
-        beta[s] = big.coords_batch(v[s] @ alpha_tensor(s, basis) @ v[s].conj().T).T
-    stab = TwistedSystem(big, F, beta, np.broadcast_to(big.unit_coords, (f, f, big.dim)).copy())
+    # beta_s(b_i (x) E_kl) over [s, i, k, l], read off in A and placed at E_{sk, sl}
+    s, i, k, l = np.ogrid[:f, :n, :f, :f]
+    images = W[s, k].H @ sys.image(s, i) @ W[s, l]
+    key, coef, resid, scale = A._monomial_coords(images.col.reshape(-1, D), images.val.reshape(-1, D))
+    if resid > TOL * scale or not np.array_equal(key // n, np.arange(f * n * f * f)):
+        raise VerificationError("stabilized action is not a phased basis permutation")
+    target = (key % n).reshape(f, n, f, f) * f * f + mul[s, k] * f + mul[s, l]
+    big = tensor_algebra(A, matrix_algebra(f))
+    unit = np.broadcast_to(big.unit_coords, (f, f, big.dim))
+    stab = TwistedSystem(big, F, target.reshape(f, -1), coef.reshape(f, -1), unit)
     right = block_profile(crossed_product(stab), seed)
     twisted = crossed_product(sys)
     small = block_profile(twisted, seed)

@@ -16,7 +16,7 @@ from twistkit import descriptors as dsc
 from twistkit.cli import load_descriptor, load_group, load_subgroup, run
 from twistkit.descriptors import Finite, FreeAbelian, Zinv
 from twistkit.extensions import abelian_group
-from twistkit.groups import klein, quaternion8
+from twistkit.groups import FiniteGroup, klein, quaternion8
 
 
 def _child_env():
@@ -359,6 +359,25 @@ class TestCrossedCap:
 
         for name in ("trivial_cocycle", "load_cocycle", "system_from_normal", "scalar_system"):
             monkeypatch.setattr(cli, name, refuse)
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (1, "", f"error: crossed product dimension {dim} exceeds 4096\n")
+
+    @pytest.mark.parametrize(
+        "argv,dim",
+        [
+            (("crossed", "--group", "cyclic:4097", "--normal", "0"), 4097),
+            (("crossed", "--group", "dihedral:2049", "--normal", "center"), 4098),
+            (("imprimitivity", "--group", "cyclic:4097", "--subgroup", "0"), 4097),
+            (("stabilize", "--group", "dihedral:9"), 18**3),
+        ],
+    )
+    def test_builtin_checked_before_its_table(self, argv, dim, monkeypatch):
+        # a builtin's order comes from its parameters; the imprimitivity cap
+        # reads |G|, a lower bound of the induced crossed product's [G:H] |G|
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group table was built")
+
+        monkeypatch.setattr(FiniteGroup, "__init__", refuse)
         code, out, err = invoke(*argv)
         assert (code, out, err) == (1, "", f"error: crossed product dimension {dim} exceeds 4096\n")
 

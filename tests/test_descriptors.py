@@ -285,3 +285,37 @@ class TestSerialization:
         assert any("Z[1/2]" in ln for ln in lines)
         w = derivation_lines(Wreath(Finite(2), Z))
         assert "wreath" in w[0] and "infinite" in w[0]
+
+
+class TestEvaluationOncePerNode:
+    @staticmethod
+    def chain(levels):
+        d = Finite(2)
+        for _ in range(levels):
+            d = Extension(d, Finite(2))
+        return d
+
+    def test_flags_and_derivation_call_each_subtree_a_bounded_number_of_times(self, monkeypatch):
+        # flags asks every level for the cardinality of its normal subgroup, and
+        # derivation_lines every level for its Hirsch length; evaluated afresh each
+        # time, a 200-level chain costs 40 200 and 40 601 calls
+        import twistkit.descriptors as dsc
+
+        calls = {"cardinality": 0, "hirsch_length": 0}
+        for name in calls:
+            def counted(d, inner=getattr(dsc, name), name=name):
+                calls[name] += 1
+                return inner(d)
+
+            monkeypatch.setattr(dsc, name, counted)
+        d = self.chain(200)
+        assert flags(d) == Flags(True, True, True, True)
+        assert len(derivation_lines(d)) == 401
+        assert calls["cardinality"] < 2000 and calls["hirsch_length"] < 2000, calls
+
+    def test_errors_are_raised_on_every_call(self):
+        d = Extension(Quotient(Finite(3), Finite(2)), Finite(2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must divide"):
+                cardinality(d)
+        assert hirsch_length(d) == 0 and cardinality(Finite(3)) == 3

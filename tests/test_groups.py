@@ -383,6 +383,23 @@ class TestIsomorphism:
         d = groups.cyclic(8)
         assert not groups.is_isomorphic_small(c, d)
 
+    def test_canonical_table(self):
+        assert groups.canonical_table(groups.cyclic(1)).tolist() == [[0]]
+        # a relabeling keeps the table; D4 and Q8 share orders and profiles, not tables
+        G = groups.dihedral(4)
+        p = np.array([0, 5, 3, 7, 1, 6, 2, 4])
+        tbl = np.empty((8, 8), dtype=np.int64)
+        tbl[p[:, None], p[None, :]] = p[G.table]
+        H = groups.FiniteGroup(tbl, name="relabeled")
+        assert np.array_equal(groups.canonical_table(G), groups.canonical_table(H))
+        assert not np.array_equal(groups.canonical_table(G), groups.canonical_table(groups.quaternion8()))
+
+    def test_builtin_order_reads_parameters(self):
+        assert groups.builtin_order("dihedral:2049") == 4098
+        assert groups.builtin_order("klein") == 4
+        for spec in ("symmetric:4", "cyclic:x", "cyclic", "nosuch:3", "@group.json"):
+            assert groups.builtin_order(spec) is None, spec
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 12), st.integers(2, 12))
     def test_cyclic_iso_iff_equal_order(self, a, b):

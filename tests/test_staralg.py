@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense import dense_system, monomial_rows
 from instances import imprimitivity_instance, random_coboundary, small_groups, stabilization_instance
 from oracles import character_degrees, conjugacy_class_count, omega_regular_class_count
 
@@ -36,6 +37,7 @@ from twistkit.groups import (
 )
 from twistkit.staralg import (
     BlockProfile,
+    RowMaps,
     StarAlgebra,
     TwistedSystem,
     block_profile,
@@ -43,7 +45,6 @@ from twistkit.staralg import (
     cutdown_fiber,
     fiber_decomposition,
     matrix_algebra,
-    monomial_rows,
     scalar_algebra,
     scalar_system,
     system_from_normal,
@@ -151,12 +152,33 @@ class TestStarAlgebra:
     def test_coords_round_trip_and_escape(self):
         A = matrix_algebra(2)
         M = np.array([[1, 2j], [0, -1]], dtype=complex)
-        assert np.abs(A.element(A.coords(M)) - M).max() < 1e-12
+        assert np.abs(A.element(A.coords_batch(M[None])[0]) - M).max() < 1e-12
         diag = StarAlgebra(
             *monomial_rows(np.stack([np.diag([1.0 + 0j, 0]), np.diag([0, 1.0 + 0j])])), np.array([0.5, 0.5])
         )
         with pytest.raises(ValueError):
-            diag.coords(np.array([[0, 1], [0, 0]], dtype=complex))
+            diag.coords_batch(np.array([[[0, 1], [0, 0]]], dtype=complex))
+
+    def test_row_maps_match_dense_matrices(self):
+        # two stacks with empty rows: composition, adjoint and deviation agree with the dense ones
+        rng = np.random.default_rng(11)
+        mats = np.zeros((2, 3, 4, 4), dtype=complex)
+        for m in mats.reshape(-1, 4, 4):
+            rows = rng.permutation(4)[:3]
+            m[rows, rng.permutation(4)[:3]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        X, Y = RowMaps(*monomial_rows(mats[0])), RowMaps(*monomial_rows(mats[1, :1]))
+        dense = mats[0] @ mats[1, :1]
+        assert RowMaps(*monomial_rows(dense)).deviation(X @ Y).max() < 1e-12
+        adj = mats[0].conj().transpose(0, 2, 1)
+        assert np.array_equal(RowMaps(*monomial_rows(adj)).deviation(X.H), np.zeros(3))
+        assert np.allclose(X.deviation(RowMaps(np.arange(4), np.ones(4))), np.abs(mats[0] - np.eye(4)).max(axis=(1, 2)))
+
+    def test_elements_are_monomial_sums(self):
+        A = matrix_algebra(2)
+        unit = A.elements(A.unit_coords)
+        assert unit.col.tolist() == [0, 1] and unit.val.tolist() == [1, 1]
+        with pytest.raises(ValueError, match="not monomial"):
+            A.elements([1, 1, 0, 0])  # E11 + E12 holds two entries in row 1
 
     def test_tensor_algebra(self):
         T = tensor_algebra(matrix_algebra(2), matrix_algebra(3))
@@ -274,7 +296,7 @@ class TestTwistedSystem:
         alpha[0] = 2 * np.eye(4)
         omega = np.broadcast_to(A.unit_coords, (2, 2, 4)).copy()
         with pytest.raises(VerificationError):
-            TwistedSystem(A, C2, alpha, omega)
+            dense_system(A, C2, alpha, omega)
 
     def test_omega_axes_enforced(self):
         A = scalar_algebra()
@@ -282,7 +304,7 @@ class TestTwistedSystem:
         omega = np.ones((2, 2, 1), dtype=complex)
         omega[1, 0, 0] = -1
         with pytest.raises(VerificationError):
-            TwistedSystem(A, C2, np.ones((2, 1, 1)), omega)
+            dense_system(A, C2, np.ones((2, 1, 1)), omega)
 
     def test_cocycle_axiom_enforced(self):
         # a non-cocycle scalar table fails the triple condition
@@ -291,11 +313,11 @@ class TestTwistedSystem:
         omega = np.ones((2, 2, 1), dtype=complex)
         omega[1, 1, 0] = np.exp(0.77j)
         alpha = np.ones((2, 1, 1), dtype=complex)
-        TwistedSystem(A, C2, alpha, omega)  # any value at (1,1) is consistent
+        dense_system(A, C2, alpha, omega)  # any value at (1,1) is consistent
         omega2 = omega.copy()
         omega2[1, 1, 0] = 0.5  # not unitary
         with pytest.raises(VerificationError):
-            TwistedSystem(A, C2, alpha, omega2)
+            dense_system(A, C2, alpha, omega2)
 
     def test_composition_axiom_failure_located(self):
         # alpha_s = Ad(diag(1, i^s)) on M2 over C3 with unit cocycle:
@@ -304,7 +326,26 @@ class TestTwistedSystem:
         alpha = np.array([np.diag([1, np.conj(u), u, 1]) for u in (1, 1j, -1)], dtype=complex)
         omega = np.broadcast_to(A.unit_coords, (3, 3, 4)).copy()
         with pytest.raises(VerificationError, match=r"composition axiom fails at \(1,2\)"):
-            TwistedSystem(A, C3, alpha, omega)
+            dense_system(A, C3, alpha, omega)
+
+    def test_target_must_permute_the_basis(self):
+        A = matrix_algebra(2)
+        target = np.array([[0, 1, 2, 3], [0, 0, 2, 3]])
+        omega = np.broadcast_to(A.unit_coords, (2, 2, 4))
+        with pytest.raises(ValueError, match="permutation"):
+            TwistedSystem(A, cyclic(2), target, np.ones((2, 4)), omega)
+
+    def test_negated_matrix_unit_is_not_an_automorphism(self):
+        # alpha_1 = -1 on E_01 and the identity elsewhere squares to the identity and
+        # fixes the unit, so only the automorphism property fails: E_01 E_10 = E_00,
+        # but alpha_1(E_01) alpha_1(E_10) = -E_00; a check of 64 sampled pairs of the
+        # 10 000 products missed it
+        A = matrix_algebra(10)
+        phase = np.ones((2, 100))
+        phase[1, 1] = -1
+        omega = np.broadcast_to(A.unit_coords, (2, 2, 100))
+        with pytest.raises(VerificationError, match=r"alpha\(1\) is not multiplicative"):
+            TwistedSystem(A, cyclic(2), np.tile(np.arange(100), (2, 1)), phase, omega)
 
     def test_cocycle_axiom_failure_located(self):
         # unitary scalars on C3, unit on the axes, omega(1,1) = e^{0.3i}: the
@@ -312,7 +353,7 @@ class TestTwistedSystem:
         omega = np.ones((3, 3, 1), dtype=complex)
         omega[1, 1, 0] = np.exp(0.3j)
         with pytest.raises(VerificationError, match=r"cocycle axiom fails at \(1,1,2\)"):
-            TwistedSystem(scalar_algebra(), cyclic(3), np.ones((3, 1, 1)), omega)
+            dense_system(scalar_algebra(), cyclic(3), np.ones((3, 1, 1)), omega)
 
     def test_scalar_system_from_cocycle(self):
         sys = scalar_system(klein(), klein_bicharacter())
@@ -349,9 +390,7 @@ class TestCrossedProduct:
     def test_resource_cap(self):
         A = matrix_algebra(26)
         G = cyclic(7)
-        alpha = np.broadcast_to(np.eye(A.dim, dtype=complex), (7, A.dim, A.dim))
-        omega = np.broadcast_to(A.unit_coords, (7, 7, A.dim))
-        sys = TwistedSystem(A, G, alpha, omega, check=False)
+        sys = trivial_system(A, G)
         with pytest.raises(ResourceCapError):
             crossed_product(sys)
 
@@ -468,3 +507,11 @@ class TestStabilization:
         for seed in range(8):
             report = verify_stabilization(stabilization_instance(seed), seed=seed)
             assert report["matches"]
+
+    def test_sigma_deviation_of_a_coboundary_system(self):
+        # the cocycle blocks are composed on row maps with numpy's complex products,
+        # so these bits no longer depend on the BLAS kernel (OpenBLAS zgemm over the
+        # dense unitaries gave 4.440892098500626e-16)
+        S3 = dihedral(3)
+        system = scalar_system(S3, random_coboundary(S3, np.random.default_rng(1000)))
+        assert verify_stabilization(system)["sigma_deviation"] == 3.133961632045815e-16
