@@ -24,8 +24,6 @@ import re
 import sys
 from itertools import accumulate
 
-import numpy as np
-
 from . import bounds as bnd
 from . import descriptors as dsc
 from .cocycles import Cocycle2, builtin_cocycle, cocycle_from_json, trivial_cocycle
@@ -45,6 +43,7 @@ from .homology import h1, h2
 from .staralg import (
     block_profile,
     check_crossed_cap,
+    check_twist_cap,
     crossed_product,
     scalar_system,
     system_from_normal,
@@ -55,22 +54,9 @@ from .staralg import (
 from .witness import ORACLES, finite_subset_witness, verify_witness
 
 
-def _pyify(x):
-    if isinstance(x, dict):
-        return {k: _pyify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_pyify(v) for v in x]
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    return x
-
-
 def _dumps(doc) -> str:
-    return json.dumps(_pyify(doc), sort_keys=True, separators=(",", ":")) + "\n"
+    # numpy scalars print as the Python scalars their .item() gives
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=lambda x: x.item()) + "\n"
 
 
 # descriptor parsing recurses two Python frames per nesting level, so under
@@ -180,7 +166,9 @@ def _cmd_classify(args):
 
 
 def _cmd_twist(args):
+    check_twist_cap(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
+    check_twist_cap(G.order)  # before the cocycle is built
     omega = load_cocycle(args.cocycle, G)
     A = twisted_group_algebra(G, omega)
     notes = [f"twisted group algebra over {G.name}, cocycle {args.cocycle}"]

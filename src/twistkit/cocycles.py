@@ -1,13 +1,14 @@
-"""Circle-valued 2-cocycles on finite groups with exact rational angles.
+"""Rational angles: 2-cocycles, 1-cochains, characters of H2 and of central subgroups.
 
-A value e^(2 pi i a) has a rational angle a in [0, 1).  A cocycle stores
-all of its angles over one denominator: an int64 numerator table num and
-an int q, in lowest terms with 0 <= num < q, so the cocycle identity,
-coboundary tests and class comparisons are exact integer arithmetic mod q.
-The common denominator is at most MAX_DENOMINATOR = 2**52; a larger one is
-a ValueError.  The flat C2 ordering (pair (i, j) at index i*m + j) matches
-the bar-complex basis in the homology module, which is what makes the
-pairing with representative 2-cycles meaningful.
+A value e^(2 pi i a) has a rational angle a in [0, 1).  This is the one
+module that knows an angle is a rational: every angle object here holds
+int64 numerators num over one q <= MAX_DENOMINATOR = 2**52, in lowest
+terms with 0 <= num < q, so identities and class comparisons are exact
+integer arithmetic mod q, and other modules pass (num, q).  Rationals
+become numerators only in _numerators; Fraction appears otherwise only in
+the .angles views and in JSON.  The flat C2 ordering (pair (i, j) at index
+i*m + j) matches the bar-complex basis of the homology module, which makes
+the pairing with representative 2-cycles meaningful.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import IdentityViolationError, InvalidGroupError
-from .groups import FiniteGroup, Subgroup, element_orders, generating_sequence, klein, mixed_radix
-from .homology import Character, SplittingData, H2Presentation, build_chain, h2_presentation
+from .groups import FiniteGroup, Subgroup, center, element_orders, generating_sequence, klein, mixed_radix
+from .groups import group_from_json, quotient, resolve_group_string
+from .homology import SplittingData, H2Presentation, build_chain, h2, h2_presentation
 
 # with q <= 2**52 a sum of two numerators is below 2**53, so it converts to
 # float64 exactly and a phase e^(2 pi i num/q) rounds exactly as the
@@ -31,8 +33,29 @@ MAX_DENOMINATOR = 2**52
 _TRIPLE_CHUNK = 1 << 20
 
 
-def _as_angle(value) -> Fraction:
-    return Fraction(value) % 1
+def _numerators(angles, q: int | None = None, wrap: bool = True) -> tuple[np.ndarray, int]:
+    """Angles as read-only int64 numerators over q in lowest terms, in the shape
+    given, from integer numerators over q, or with q None from rationals
+    (anything Fraction accepts) over their least common denominator, reduced
+    mod 1 or with wrap=False refused outside [0, 1)."""
+    shape = np.shape(angles)
+    if q is None:
+        fracs = [Fraction(a) for a in np.asarray(angles, dtype=object).flat]
+        q = lcm(*(f.denominator for f in fracs))
+        angles = [f.numerator * (q // f.denominator) for f in fracs]
+        if not wrap and not all(0 <= n < q for n in angles):
+            raise ValueError("angles must lie in [0, 1)")
+        angles = [n % q for n in angles]
+    if q > MAX_DENOMINATOR:
+        raise ValueError(
+            f"the angles need a common denominator of {q.bit_length()} bits, "
+            f"above MAX_DENOMINATOR = 2**52"
+        )
+    num = np.mod(np.asarray(angles, dtype=np.int64), q).reshape(shape)
+    common = gcd(q, int(np.gcd.reduce(num, axis=None)))
+    num //= common
+    num.setflags(write=False)
+    return num, q // common
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -50,31 +73,15 @@ class Cocycle2:
 
     def __init__(self, group: FiniteGroup, angles, q: int | None = None):
         m = group.order
-        if q is None:  # the input boundary: a table of rationals
-            table = np.asarray(angles, dtype=object)
-            if table.shape != (m, m):
-                raise ValueError(f"angle table must be {m}x{m}, got {table.shape}")
-            fracs = [Fraction(a) for a in table.flat]
-            q = lcm(*(f.denominator for f in fracs))
-            angles = [f.numerator * (q // f.denominator) % q for f in fracs]
-        if q > MAX_DENOMINATOR:
-            raise ValueError(
-                f"the angles need a common denominator of {q.bit_length()} bits, "
-                f"above MAX_DENOMINATOR = 2**52"
-            )
-        num = np.mod(np.asarray(angles, dtype=np.int64).reshape(m, m), q)
-        common = gcd(q, int(np.gcd.reduce(num, axis=None)))
-        num //= common
-        num.setflags(write=False)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "q", q // common)
-        _check_identity(group, num, self.q)
+        if np.shape(angles) != (m, m):
+            raise ValueError(f"angle table must be {m}x{m}, got {np.shape(angles)}")
+        num, q = _numerators(angles, q)
+        vars(self).update(group=group, num=num, q=q)  # frozen: set once, here
+        _check_identity(group, num, q)
 
     @property
     def angles(self) -> np.ndarray:
-        """The reduced Fraction angles as a read-only (m, m) object array,
-        derived from num / q on each access."""
+        """The reduced Fraction angles, a read-only (m, m) object array made on each access."""
         out = np.array([Fraction(n, self.q) for n in self.num.ravel().tolist()], dtype=object)
         out = out.reshape(self.num.shape)
         out.setflags(write=False)
@@ -118,29 +125,30 @@ def check_cocycle(group: FiniteGroup, candidate) -> Cocycle2:
     return Cocycle2(group, candidate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Cochain1:
-    """A 1-cochain: one angle per group element."""
+    """A 1-cochain: gamma(g_i) has angle num[i] / q.  Cochain1(group, angles) takes one
+    rational per element, Cochain1(group, numerators, q) integer numerators over q."""
 
     group: FiniteGroup
-    angles: tuple[Fraction, ...]
+    num: np.ndarray
+    q: int
 
-    def __post_init__(self):
-        vals = tuple(_as_angle(a) for a in self.angles)
-        if len(vals) != self.group.order:
+    def __init__(self, group: FiniteGroup, angles, q: int | None = None):
+        num, q = _numerators(angles, q)
+        if num.shape != (group.order,):
             raise ValueError("one angle per group element required")
-        object.__setattr__(self, "angles", vals)
+        vars(self).update(group=group, num=num, q=q)
 
-    def __call__(self, i: int) -> Fraction:
-        return self.angles[i]
+    @property
+    def angles(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.q) for n in self.num.tolist())
 
 
 def coboundary(gamma: Cochain1) -> Cocycle2:
     """(d gamma)(g, h) = gamma(g) + gamma(h) - gamma(gh), always a cocycle."""
-    G = gamma.group
-    q = lcm(*(a.denominator for a in gamma.angles))
-    c = np.array([a.numerator * (q // a.denominator) for a in gamma.angles], dtype=object)
-    return Cocycle2(G, c[:, None] + c[None, :] - c[G.table], q)
+    G, c = gamma.group, gamma.num
+    return Cocycle2(G, c[:, None] + c[None, :] - c[G.table], gamma.q)
 
 
 def multiply(a: Cocycle2, b: Cocycle2) -> Cocycle2:
@@ -169,17 +177,63 @@ def normalize(omega: Cocycle2) -> tuple[Cocycle2, Cochain1]:
     m = G.order
     diagonal = (np.arange(m), G.inverse)
     if not omega.num[diagonal].any():
-        return omega, Cochain1(G, (0,) * m)
+        return omega, Cochain1(G, np.zeros(m, dtype=np.int64), 1)
     num, q = omega.num, omega.q
     # the correction over q, read over 2q, is half of it
     gamma = (-num[diagonal] - num[0, 0]) % q
     gamma[0] = 2 * (-num[0, 0] % q)
-    cochain = Cochain1(G, tuple(Fraction(c, 2 * q) for c in gamma.tolist()))
     result = Cocycle2(G, 2 * num + gamma[:, None] + gamma[None, :] - gamma[G.table], 2 * q)
     bad = np.flatnonzero(result.num[diagonal])
     if bad.size:
         raise IdentityViolationError(f"normalization failed at element {bad[0]}")
-    return result, cochain
+    return result, Cochain1(G, gamma, 2 * q)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Character:
+    """A homomorphism H2 -> Q/Z: the generator of Z/d_i goes to angle num[i] / q, of order
+    dividing d_i.  Character(factors, angles) takes rationals in [0, 1),
+    Character(factors, numerators, q) integer numerators over q."""
+
+    invariant_factors: tuple[int, ...]
+    num: np.ndarray
+    q: int
+
+    def __init__(self, invariant_factors, angles, q: int | None = None):
+        factors = tuple(int(d) for d in invariant_factors)
+        num, q = _numerators(angles, q, wrap=False)
+        if num.shape != (len(factors),):
+            raise ValueError("one angle per invariant factor required")
+        # d num = 0 mod q exactly when q / gcd(q, d) divides num
+        bad = np.flatnonzero(num % (q // np.gcd(q, np.array(factors, dtype=np.int64))))
+        if bad.size:
+            raise ValueError(f"angle {num[bad[0]]}/{q} has order not dividing {factors[bad[0]]}")
+        vars(self).update(invariant_factors=factors, num=num, q=q)
+
+    @property
+    def angles(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.q) for n in self.num.tolist())
+
+    def __call__(self, coords) -> int:
+        """The numerator over q of the value at the given H2 coordinates."""
+        return int(np.asarray(coords, dtype=np.int64) @ self.num % self.q)
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.num.any()
+
+
+def characters_for_factors(factors) -> list[Character]:
+    """All characters of the sum of the Z/d_i, in mixed-radix order of their
+    numerators t_i over d_i (first factor most significant): trivial first."""
+    factors = tuple(int(d) for d in factors)
+    q, (digits, _) = lcm(*factors), mixed_radix(factors)
+    return [Character(factors, t, q) for t in digits * (q // np.array(factors, dtype=np.int64))]
+
+
+def characters_of_h2(G: FiniteGroup) -> list[Character]:
+    """All homomorphisms H2(G) -> Q/Z, the trivial one first."""
+    return characters_for_factors(h2(G).torsion)
 
 
 def induced_character(omega: Cocycle2, split) -> Character:
@@ -190,7 +244,7 @@ def induced_character(omega: Cocycle2, split) -> Character:
     if not np.array_equal(pres.chain.group.table, omega.group.table):
         raise ValueError("cocycle and presentation live on different groups")
     totals = omega.num.reshape(-1).astype(object) @ pres.cycles
-    return Character(pres.invariant_factors, tuple(Fraction(int(t) % omega.q, omega.q) for t in totals))
+    return Character(pres.invariant_factors, totals % omega.q, omega.q)
 
 
 def cohomologous(a: Cocycle2, b: Cocycle2, presentation: H2Presentation | None = None) -> bool:
@@ -199,17 +253,19 @@ def cohomologous(a: Cocycle2, b: Cocycle2, presentation: H2Presentation | None =
         raise ValueError("cocycles live on different groups")
     if presentation is None:
         presentation = h2_presentation(build_chain(a.group))
-    return induced_character(a, presentation).angles == induced_character(b, presentation).angles
+    ca, cb = induced_character(a, presentation), induced_character(b, presentation)
+    return ca.q == cb.q and np.array_equal(ca.num, cb.num)
 
 
 # ---------------------------------------------------------------------------
 # characters of abelian subgroups and the central-extension cocycle
 
 
-def subgroup_characters(S: Subgroup) -> list[dict[int, Fraction]]:
-    """All homomorphisms from an abelian subgroup into Q/Z, each as a map
-    from parent element index to angle, in ascending order of their angles
-    on the members.  The trivial character comes first."""
+def subgroup_characters(S: Subgroup) -> tuple[np.ndarray, np.ndarray, int]:
+    """All homomorphisms from an abelian subgroup into Q/Z, as (members, num,
+    q): row t of num holds the numerators over q of the t-th character on
+    members, the parent indices of S in ascending order.  Rows ascend
+    lexicographically, so the trivial character comes first."""
     G = S.parent
     mem = list(S.members)
     sub = G.table[np.ix_(mem, mem)]
@@ -230,42 +286,39 @@ def subgroup_characters(S: Subgroup) -> list[dict[int, Fraction]]:
     chars = num[(num == num[:, first[where]]).all(axis=1)][:, first]
     if len(chars) != len(mem):
         raise InvalidGroupError("character count mismatch on abelian subgroup")
-    chars = chars[np.lexsort(chars.T[::-1])]
-    return [{x: Fraction(n, q) for x, n in zip(mem, row)} for row in chars.tolist()]
+    return np.array(mem, dtype=np.int64), chars[np.lexsort(chars.T[::-1])], q
 
 
-def sigma_chi(G: FiniteGroup, N: Subgroup, chi) -> Cocycle2:
+def central_character(G: FiniteGroup, N: Subgroup, num, q: int) -> tuple[np.ndarray, int]:
+    """Check a character of a central subgroup N, given by its numerators
+    over q on N.members, exactly: N is central in G, there is one numerator
+    per member, and chi(ab) = chi(a) + chi(b) mod q on every pair.  Returns
+    its numerators on all of G (0 off N) and q, in lowest terms."""
+    if N.parent is not G:
+        raise InvalidGroupError("subgroup belongs to a different group")
+    members = np.array(N.members, dtype=np.int64)
+    if not center(G).indicator[members].all():
+        raise InvalidGroupError("subgroup is not central")
+    num, q = _numerators(num, q)
+    if num.shape != members.shape:
+        raise InvalidGroupError("character must be defined exactly on the subgroup")
+    chi = np.zeros(G.order, dtype=np.int64)
+    chi[members] = num
+    if np.any(chi[G.table[members[:, None], members]] != (num[:, None] + num) % q):
+        raise InvalidGroupError("character is not multiplicative")
+    return chi, q
+
+
+def sigma_chi(G: FiniteGroup, N: Subgroup, num, q: int) -> Cocycle2:
     """The 2-cocycle on G/N measuring the failure of the canonical lift to
-    be a homomorphism, evaluated through a character of the central N:
+    be a homomorphism, evaluated through a character of the central N given
+    as in central_character (a row of subgroup_characters):
 
         sigma([s], [t]) = chi( c([s]) c([t]) c([s t])^-1 ).
     """
-    from .groups import center, quotient  # local import to keep module load light
-
-    if N.parent is not G:
-        raise InvalidGroupError("subgroup belongs to a different group")
-    central = set(center(G).members)
-    if not set(N.members) <= central:
-        raise InvalidGroupError("subgroup is not central")
-    chi_map = {int(k): _as_angle(v) for k, v in dict(chi).items()}
-    if set(chi_map) != set(N.members):
-        raise InvalidGroupError("character must be defined exactly on the subgroup")
-    if chi_map[0] != 0:
-        raise InvalidGroupError("character must send the identity to angle 0")
-    for a in N.members:
-        for b in N.members:
-            if (chi_map[a] + chi_map[b]) % 1 != chi_map[G.mul(a, b)]:
-                raise InvalidGroupError("character is not multiplicative")
-    # a multiplicative character has angles of order dividing |N|, so q is small
-    q = lcm(*(v.denominator for v in chi_map.values()))
-    chi_num = np.zeros(G.order, dtype=np.int64)
-    for g, v in chi_map.items():
-        chi_num[g] = v.numerator * (q // v.denominator)
-    Q, _, lift = quotient(G, N)
-    lift = np.asarray(lift, dtype=np.int64)
-    tbl = G.table
-    lands = tbl[tbl[lift[:, None], lift[None, :]], G.inverse[lift[Q.table]]]
-    return Cocycle2(Q, chi_num[lands], q)
+    chi, q = central_character(G, N, num, q)
+    (Q, _, lift), tbl = quotient(G, N), G.table
+    return Cocycle2(Q, chi[tbl[tbl[lift[:, None], lift[None, :]], G.inverse[lift[Q.table]]]], q)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +361,6 @@ def cocycle_from_json(data: dict, group: FiniteGroup | None = None) -> Cocycle2:
     The group may be a full group document or omitted when passed in
     explicitly; angle strings are rationals like "1/2" or "0".
     """
-    from .groups import group_from_json, resolve_group_string
-
     if not isinstance(data, dict) or "angles" not in data:
         raise ValueError('cocycle document needs an "angles" field')
     if group is None:

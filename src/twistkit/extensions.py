@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from math import lcm
+from functools import lru_cache
 
 import numpy as np
 
 from . import intlin
-from .cocycles import Cocycle2
+from .cocycles import Character, Cocycle2, characters_for_factors
 from .errors import ResourceCapError, VerificationError
 from .groups import (
     FiniteGroup,
@@ -38,7 +38,7 @@ from .groups import (
     mixed_radix,
     quaternion8,
 )
-from .homology import Character, SplittingData, build_chain, characters_for_factors, h1, h2, make_splitting
+from .homology import SplittingData, build_chain, h1, h2, make_splitting
 from .staralg import StarAlgebra, block_profile, cutdown_fiber
 
 EXTENSION_CAP = 256
@@ -167,14 +167,18 @@ class ExtensionClass:
     order4_lifts: tuple[int, ...] = ()
 
 
-def _builtin_candidates(order: int):
-    yield f"cyclic({order})", cyclic(order)
+@lru_cache(maxsize=None)
+def _builtin_candidates(order: int) -> dict[str, FiniteGroup]:
+    """The builtin groups of this order by label, built once per process, so
+    that groups.canonical_table searches each of them once."""
+    found = {f"cyclic({order})": cyclic(order)}
     if order == 4:
-        yield "klein", klein()
+        found["klein"] = klein()
     if order % 2 == 0 and order >= 6:
-        yield f"dihedral({order // 2})", dihedral(order // 2)
+        found[f"dihedral({order // 2})"] = dihedral(order // 2)
     if order == 8:
-        yield "quaternion8", quaternion8()
+        found["quaternion8"] = quaternion8()
+    return found
 
 
 def _canonical_fingerprint(G: FiniteGroup) -> str:
@@ -199,16 +203,17 @@ def classify_extension(ext: CentralExtension) -> ExtensionClass:
     """
     E = ext.total
     check_classify_cap(E.order)
+    candidates = _builtin_candidates(E.order)
     lifts: tuple[int, ...] = ()
-    if np.array_equal(ext.base.table, klein().table):
+    if np.array_equal(ext.base.table, _builtin_candidates(4)["klein"].table):
         orders = element_orders(E)
         lifts = tuple(g for g in range(1, 4) if 4 in orders[ext.project.map == g])
         if E.order == 8:
-            if len(lifts) == 3 and is_isomorphic_small(E, quaternion8()):
+            if len(lifts) == 3 and is_isomorphic_small(E, candidates["quaternion8"]):
                 return ExtensionClass("Q8", lifts)
-            if len(lifts) == 1 and is_isomorphic_small(E, dihedral(4)):
+            if len(lifts) == 1 and is_isomorphic_small(E, candidates["dihedral(4)"]):
                 return ExtensionClass(f"D4({_KLEIN_NAMES[lifts[0]]})", lifts)
-    for name, H in _builtin_candidates(E.order):
+    for name, H in candidates.items():
         if is_isomorphic_small(E, H):
             return ExtensionClass(name, lifts)
     return ExtensionClass(_canonical_fingerprint(E), lifts)
@@ -231,12 +236,9 @@ def count_extension_classes(G: FiniteGroup) -> tuple[intlin.AbelianInvariants, i
 
 def cocycle_of_character(split: SplittingData, chi: Character) -> Cocycle2:
     """The scalar cocycle chi(pibar(g1, g2)) on the base group."""
-    pres = split.h2
-    if chi.invariant_factors != pres.invariant_factors:
+    if chi.invariant_factors != split.h2.invariant_factors:
         raise ValueError("character does not match the homology invariants")
-    q = lcm(*(a.denominator for a in chi.angles))
-    weights = np.array([int(a * q) for a in chi.angles], dtype=np.int64)
-    return Cocycle2(split.chain.group, np.tensordot(weights, split.pibar_table, axes=1), q)
+    return Cocycle2(split.chain.group, np.tensordot(chi.num, split.pibar_table, axes=1), chi.q)
 
 
 def fiber_of_extension(ext: CentralExtension, chi: Character) -> StarAlgebra:
@@ -244,9 +246,8 @@ def fiber_of_extension(ext: CentralExtension, chi: Character) -> StarAlgebra:
     embedding of the homology."""
     if chi.invariant_factors != ext.h2.torsion:
         raise ValueError("character does not match the extension's homology")
-    coords, _ = mixed_radix(ext.h2.torsion)
-    chi_map = {int(e): chi(c) for e, c in zip(ext.embed.map, coords.tolist())}
-    return cutdown_fiber(ext.total, ext.kernel_subgroup, chi_map)
+    num = mixed_radix(ext.h2.torsion)[0] @ chi.num % chi.q  # chi at each embedded element, in embedding order
+    return cutdown_fiber(ext.total, ext.kernel_subgroup, num[np.argsort(ext.embed.map)], chi.q)
 
 
 def extension_report(ext: CentralExtension, seed: int = 0) -> dict:

@@ -569,7 +569,14 @@ def element_order_profile(G: FiniteGroup) -> tuple[int, ...]:
 def canonical_table(G: FiniteGroup) -> np.ndarray:
     """The Cayley table least in byte order among the breadth-first relabelings
     along every shortest generating sequence; isomorphisms carry these onto
-    each other, so the table is equal exactly for isomorphic groups."""
+    each other, so the table is equal exactly for isomorphic groups.  It is
+    searched once per group object and kept on it, read-only."""
+    if not hasattr(G, "_canonical"):
+        G._canonical = _least_relabeling(G)
+    return G._canonical
+
+
+def _least_relabeling(G: FiniteGroup) -> np.ndarray:
     m, tbl, rows = G.order, G.table, G.table.tolist()
     for length in range(1, m):
         best = None

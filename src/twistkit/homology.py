@@ -28,8 +28,6 @@ to H2, and U^-1, whose columns lift H2 generators to cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -335,40 +333,3 @@ def make_splitting(
         delta_coeffs=R,
         d2_in_b1=T,
     )
-
-
-@dataclass(frozen=True)
-class Character:
-    """A homomorphism H2 -> Q/Z, as rational angles on the invariant-factor
-    generators."""
-
-    invariant_factors: tuple[int, ...]
-    angles: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.angles) != len(self.invariant_factors):
-            raise ValueError("one angle per invariant factor required")
-        for a, d in zip(self.angles, self.invariant_factors):
-            if not 0 <= a < 1 or (a * d) % 1 != 0:
-                raise ValueError(f"angle {a} has order not dividing {d}")
-
-    def __call__(self, coords) -> Fraction:
-        total = sum((Fraction(a) * int(c) for a, c in zip(self.angles, coords)), Fraction(0))
-        return total % 1
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(a == 0 for a in self.angles)
-
-
-def characters_of_h2(G: FiniteGroup) -> list[Character]:
-    """All homomorphisms H2(G) -> Q/Z, the trivial one first."""
-    factors = h2(G).torsion
-    return characters_for_factors(factors)
-
-
-def characters_for_factors(factors: tuple[int, ...]) -> list[Character]:
-    out = []
-    for combo in product(*(range(d) for d in factors)):
-        out.append(Character(tuple(factors), tuple(Fraction(a, d) for a, d in zip(combo, factors))))
-    return out

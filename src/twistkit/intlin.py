@@ -380,10 +380,6 @@ class AbelianInvariants:
     def is_trivial(self) -> bool:
         return not self.torsion and self.free_rank == 0
 
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def order(self) -> int | None:
         """Group order, or None when infinite."""
         if self.free_rank:

@@ -44,14 +44,16 @@ from math import isqrt
 
 import numpy as np
 
-from .cocycles import Cocycle2, normalize, sigma_chi, subgroup_characters
+from .cocycles import Cocycle2, central_character, normalize, sigma_chi, subgroup_characters, trivial_cocycle
 from .errors import DecompositionUnstableError, InvalidGroupError, ResourceCapError, VerificationError
-from .groups import FiniteGroup, Subgroup, center, coset_index, quotient, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, coset_index, quotient, subgroup_as_group
 
 TOL = 1e-8
 EIG_GAP = 1e-6
 MAX_RETRIES = 8
 CROSSED_CAP = 4096
+# m^3 composed entries in the closure check and m^3 cocycle triples; about 3 s at m = 256
+TWIST_CAP = 2**24
 
 # index compositions and commutator scatters run in chunks of about this many
 # entries, so that each chunk's index and value arrays are a few hundred KB
@@ -59,14 +61,21 @@ _CHUNK = 1 << 16
 
 
 def _phase(angle):
-    """e^(2 pi i angle) for one rational angle or a float array of them."""
-    return np.exp(2j * np.pi * np.asarray(angle, dtype=np.float64))
+    """e^(2 pi i angle) for a float array of angles num / q; with q <= MAX_DENOMINATOR
+    each quotient is the float nearest its rational angle, however num / q is reduced."""
+    return np.exp(2j * np.pi * angle)
 
 
 def check_crossed_cap(dim: int) -> None:
     """Refuse a crossed product of dimension above CROSSED_CAP, before it is built."""
     if dim > CROSSED_CAP:
         raise ResourceCapError(f"crossed product dimension {dim} exceeds {CROSSED_CAP}")
+
+
+def check_twist_cap(order: int) -> None:
+    """Refuse a twisted group algebra with order^3 above TWIST_CAP, before its table or cocycle."""
+    if order**3 > TWIST_CAP:
+        raise ResourceCapError(f"twisted group algebra of order {order}: {order**3} entries exceed {TWIST_CAP}")
 
 
 def _bincount_complex(keys: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -615,8 +624,6 @@ def system_from_normal(G: FiniteGroup, N: Subgroup, sigma: Cocycle2 | None = Non
 
     which lands in the coefficient algebra.  crossed_product of the result
     recovers the block profile of C[G, sigma]."""
-    from .cocycles import trivial_cocycle
-
     if N.parent is not G:
         raise InvalidGroupError("subgroup belongs to a different group")
     if not N.is_normal():
@@ -671,47 +678,36 @@ def crossed_product(sys: TwistedSystem) -> StarAlgebra:
 # fibers over central characters
 
 
-def cutdown_fiber(G: FiniteGroup, N: Subgroup, chi) -> StarAlgebra:
-    """Compress C[G] by the central idempotent of a character of a central
-    subgroup: e_chi = (1/|N|) sum_z conj(chi(z)) u_z, represented on the
-    range of e_chi with basis the compressed u_g over coset representatives
-    of N.
+def cutdown_fiber(G: FiniteGroup, N: Subgroup, num, q: int) -> StarAlgebra:
+    """Compress C[G] by the central idempotent of a character chi of a central
+    subgroup, given as in cocycles.central_character: e_chi = (1/|N|) sum_z
+    conj(chi(z)) u_z, on the range of e_chi with basis the compressed u_g over
+    coset representatives of N.
 
     The range has the orthonormal coset basis q_b = sqrt|N| e_chi delta_{r_b}
     (r_b the representative of coset b).  Since e_chi u_z = chi(z) e_chi,
     u_g q_b = chi(z) q_c where g r_b = z r_c with z in N, so every compressed
-    u_g is monomial with the exact phases chi(z)."""
-    if N.parent is not G:
-        raise InvalidGroupError("subgroup belongs to a different group")
-    if not set(N.members) <= set(center(G).members):
-        raise InvalidGroupError("subgroup is not central")
-    chi_map = {int(k): v for k, v in dict(chi).items()}
-    if set(chi_map) != set(N.members):
-        raise InvalidGroupError("character must be defined exactly on the subgroup")
-    members = np.asarray(N.members, dtype=np.int64)
-    chi_of = np.zeros(G.order, dtype=np.complex128)
-    chi_of[members] = _phase([float(chi_map[z]) for z in N.members])
-    # e_chi is a projection exactly when chi is multiplicative on N
-    prod = chi_of[G.table[members[:, None], members]]
-    if np.abs(chi_of[members, None] * chi_of[members] - prod).max() > TOL:
-        raise VerificationError("central character idempotent failed to be a projection")
+    u_g is monomial with the exact phases chi(z); e_chi is a projection because
+    central_character checks chi exactly."""
+    chi, q = central_character(G, N, num, q)
     number, reps = coset_index(G, N)  # N is central, so its left and right cosets agree
     g_rb = G.table[reps[:, None], reps]  # [a, b]: r_a r_b = z r_c
     c = number[g_rb]
-    return _translation_algebra(c, chi_of[G.table[g_rb, G.inverse[reps[c]]]], f"C[{G.name}]@chi")
+    return _translation_algebra(c, _phase(chi[G.table[g_rb, G.inverse[reps[c]]]] / q), f"C[{G.name}]@chi")
 
 
-def fiber_decomposition(G: FiniteGroup, N: Subgroup, seed: int = 0) -> list[tuple[dict, StarAlgebra]]:
-    """All fibers of C[G] over the characters of a central subgroup.
+def fiber_decomposition(G: FiniteGroup, N: Subgroup, seed: int = 0) -> list[tuple[np.ndarray, StarAlgebra]]:
+    """All fibers of C[G] over the characters of a central subgroup, each
+    with its row of numerators from subgroup_characters(N).
 
     Each fiber's block profile is asserted to match the directly built
     twisted algebra of the quotient with the corresponding lifted-product
     cocycle, and the fiber dimensions are audited to sum to |G|."""
     fibers = []
-    total = 0
-    for chi in subgroup_characters(N):
-        alg = cutdown_fiber(G, N, chi)
-        sig = sigma_chi(G, N, chi)
+    _, chars, q = subgroup_characters(N)
+    for row in chars:
+        alg = cutdown_fiber(G, N, row, q)
+        sig = sigma_chi(G, N, row, q)
         direct = twisted_group_algebra(sig.group, sig)
         p1 = block_profile(alg, seed)
         p2 = block_profile(direct, seed)
@@ -719,9 +715,8 @@ def fiber_decomposition(G: FiniteGroup, N: Subgroup, seed: int = 0) -> list[tupl
             raise VerificationError(
                 f"fiber profile {p1.blocks} disagrees with the quotient cocycle route {p2.blocks}"
             )
-        fibers.append((chi, alg))
-        total += alg.dim
-    if total != G.order:
+        fibers.append((row, alg))
+    if sum(alg.dim for _, alg in fibers) != G.order:
         raise VerificationError("fiber dimensions do not sum to the group order")
     return fibers
 

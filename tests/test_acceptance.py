@@ -23,7 +23,7 @@ from twistkit.bounds import (
     wreath_bound_finite_K,
 )
 from twistkit.cli import run
-from twistkit.cocycles import klein_bicharacter, multiply, trivial_cocycle
+from twistkit.cocycles import characters_for_factors, klein_bicharacter, multiply, trivial_cocycle
 from twistkit.descriptors import (
     INF,
     Finite,
@@ -52,7 +52,6 @@ from twistkit.groups import (
 )
 from twistkit.homology import (
     build_chain,
-    characters_for_factors,
     h2,
     h2_presentation,
     make_splitting,

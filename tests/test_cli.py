@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 import twistkit
-from twistkit import cli
+from twistkit import cli, staralg
 from twistkit import descriptors as dsc
 from twistkit.cli import load_descriptor, load_group, load_subgroup, run
 from twistkit.descriptors import Finite, FreeAbelian, Zinv
+from twistkit.errors import ResourceCapError
 from twistkit.extensions import abelian_group
-from twistkit.groups import FiniteGroup, klein, quaternion8
+from twistkit.groups import FiniteGroup, cyclic, klein, quaternion8
 
 
 def _child_env():
@@ -386,6 +387,37 @@ class TestCrossedCap:
         assert code == 0 and json.loads(out)["matches"]
 
 
+class TestTwistCap:
+    # the closure check and the cocycle identity check are each |G|^3
+    def test_builtin_checked_before_its_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group table was built")
+
+        monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+        code, out, err = invoke("twist", "--group", "dihedral:400", "--cocycle", "trivial")
+        assert (code, out, err) == (
+            1, "", "error: twisted group algebra of order 800: 512000000 entries exceed 16777216\n"
+        )
+
+    def test_file_group_checked_before_its_cocycle(self, tmp_path, monkeypatch):
+        path = tmp_path / "c257.json"
+        path.write_text(json.dumps(cyclic(257).to_json()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cocycle was built")
+
+        monkeypatch.setattr(cli, "load_cocycle", refuse)
+        code, out, err = invoke("twist", "--group", f"@{path}", "--cocycle", "trivial")
+        assert (code, out, err) == (
+            1, "", "error: twisted group algebra of order 257: 16974593 entries exceed 16777216\n"
+        )
+
+    def test_cap_edge(self):
+        staralg.check_twist_cap(256)  # dihedral:128 and cyclic:256 are admitted
+        with pytest.raises(ResourceCapError):
+            staralg.check_twist_cap(257)
+
+
 class TestCardinalityCap:
     def test_twelve_levels_print_exactly(self):
         # |K wr C2| = 2 |K|^2, so level n has 2^(2^(n+1) - 1) elements
@@ -647,8 +679,40 @@ class TestAlgebraGoldenBytes:
          "2 character fibers over H2 of dihedral(4)\n"),
     ]
 
+    # fibers of @file groups whose H2 is not Z/2: (Z/2)^3 prints three "chi"
+    # coordinates, Z/4 prints quarter angles; both extensions are above the
+    # classification cap, so "class" is null
+    FILE_GOLDEN = {
+        (2, 2, 2): (
+            '{"base":"Z/2+Z/2+Z/2","class":null,"fibers":['
+            '{"blocks":[1,1,1,1,1,1,1,1],"chi":["0","0","0"]},'
+            '{"blocks":[2,2],"chi":["0","0","1/2"]},{"blocks":[2,2],"chi":["0","1/2","0"]},'
+            '{"blocks":[2,2],"chi":["0","1/2","1/2"]},{"blocks":[2,2],"chi":["1/2","0","0"]},'
+            '{"blocks":[2,2],"chi":["1/2","0","1/2"]},{"blocks":[2,2],"chi":["1/2","1/2","0"]},'
+            '{"blocks":[2,2],"chi":["1/2","1/2","1/2"]}],'
+            '"h2":{"free_rank":0,"torsion":[2,2,2]},"order4_lifts":[]}\n',
+            "8 character fibers over H2 of Z/2+Z/2+Z/2\n",
+        ),
+        (4, 4): (
+            '{"base":"Z/4+Z/4","class":null,"fibers":['
+            '{"blocks":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1],"chi":["0"]},'
+            '{"blocks":[4],"chi":["1/4"]},{"blocks":[2,2,2,2],"chi":["1/2"]},'
+            '{"blocks":[4],"chi":["3/4"]}],'
+            '"h2":{"free_rank":0,"torsion":[4]},"order4_lifts":[]}\n',
+            "4 character fibers over H2 of Z/4+Z/4\n",
+        ),
+    }
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("command,stdout,stderr", GOLDEN, ids=[g[0] for g in GOLDEN])
     def test_bytes(self, command, stdout, stderr, seed):
         want = stdout if isinstance(stdout, str) else stdout[seed]
         assert invoke(*command.split(), "--seed", str(seed)) == (0, want, stderr)
+
+    @pytest.mark.parametrize(
+        "factors,seed", [((2, 2, 2), s) for s in range(4)] + [((4, 4), 0)], ids=str
+    )
+    def test_file_fibers_bytes(self, tmp_path, factors, seed):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(abelian_group(factors).to_json()))
+        assert invoke("fibers", "--group", f"@{path}", "--seed", str(seed)) == (0, *self.FILE_GOLDEN[factors])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from instances import small_groups
 
 from twistkit import cocycles
 from twistkit.cli import run
@@ -260,10 +261,10 @@ class TestCoboundariesAndProducts:
     def test_coboundary_formula(self):
         C4 = cyclic(4)
         gamma = Cochain1(C4, (F(0), F(1, 4), F(1, 2), F(3, 4)))
-        om = coboundary(gamma)
+        om, a = coboundary(gamma), gamma.angles
         for i in range(4):
             for j in range(4):
-                assert om.angle(i, j) == (gamma(i) + gamma(j) - gamma(C4.mul(i, j))) % 1
+                assert om.angle(i, j) == (a[i] + a[j] - a[C4.mul(i, j)]) % 1
 
     def test_random_coboundaries_always_valid(self):
         rng = np.random.default_rng(11)
@@ -371,27 +372,37 @@ class TestClasses:
             induced_character(trivial_cocycle(cyclic(4)), klein_pres)
 
 
+def _central_subgroups():
+    # every subgroup of the center of every small group, the center included;
+    # these centers have rank at most 2, so two generators reach each subgroup
+    out = []
+    for G in small_groups():
+        Z = center(G).members
+        out += [(G, m) for m in sorted({generated_subgroup(G, [a, b]).members for a in Z for b in Z})]
+    return out
+
+
 class TestSubgroupCharacters:
     def test_counts_match_subgroup_order(self):
         C4 = cyclic(4)
-        assert len(subgroup_characters(Subgroup(C4, (0, 2)))) == 2
-        assert len(subgroup_characters(Subgroup(C4, (0, 1, 2, 3)))) == 4
+        assert len(subgroup_characters(Subgroup(C4, (0, 2)))[1]) == 2
+        assert len(subgroup_characters(Subgroup(C4, (0, 1, 2, 3)))[1]) == 4
         Q8 = quaternion8()
-        assert len(subgroup_characters(center(Q8))) == 2
+        assert len(subgroup_characters(center(Q8))[1]) == 2
 
     def test_trivial_character_first_and_all_multiplicative(self):
         C6 = cyclic(6)
-        chars = subgroup_characters(Subgroup(C6, tuple(range(6))))
-        assert all(v == 0 for v in chars[0].values())
+        _, chars, q = subgroup_characters(Subgroup(C6, tuple(range(6))))
+        assert all(v == 0 for v in chars[0])
         for chi in chars:
             for a in range(6):
                 for b in range(6):
-                    assert (chi[a] + chi[b]) % 1 == chi[C6.mul(a, b)]
+                    assert (chi[a] + chi[b]) % q == chi[C6.mul(a, b)]
 
     def test_distinct_characters(self):
         K = klein()
-        chars = subgroup_characters(Subgroup(K, (0, 1, 2, 3)))
-        assert len({tuple(sorted(c.items())) for c in chars}) == 4
+        _, chars, _ = subgroup_characters(Subgroup(K, (0, 1, 2, 3)))
+        assert len({tuple(c) for c in chars}) == 4
 
     def test_nonabelian_rejected(self):
         S3 = symmetric(3)
@@ -412,7 +423,8 @@ class TestSubgroupCharacters:
             (dihedral(4), (0, 2)),
             (dihedral(4), (0, 2, 4, 6)),
             (quaternion8(), (0, 1, 4, 5)),
-        ],
+        ]
+        + _central_subgroups(),
     )
     def test_matches_backtracking_reference(self, G, members):
         # every character extends its values on greedy generators by closure
@@ -444,23 +456,24 @@ class TestSubgroupCharacters:
 
         assign(0, {0: Fraction(0)})
         ref = sorted((c for c in found if len(c) == len(members)), key=lambda c: [c[x] for x in members])
-        assert subgroup_characters(Subgroup(G, members)) == ref
+        mem, chars, q = subgroup_characters(Subgroup(G, members))
+        assert [{x: F(n, q) for x, n in zip(mem.tolist(), row)} for row in chars.tolist()] == ref
 
 
 class TestSigmaChi:
     def test_trivial_character_gives_trivial_cocycle(self):
         C4 = cyclic(4)
         N = Subgroup(C4, (0, 2))
-        chars = subgroup_characters(N)
-        sig = sigma_chi(C4, N, chars[0])
+        _, chars, q = subgroup_characters(N)
+        sig = sigma_chi(C4, N, chars[0], q)
         assert sig.is_trivial_table()
 
     def test_c4_mod_c2_hand_value(self):
         # lifts of C4/{0,2} are 0 and 1; 1*1 = 2 lands in N, chi(2) = 1/2
         C4 = cyclic(4)
         N = Subgroup(C4, (0, 2))
-        chi = subgroup_characters(N)[1]
-        sig = sigma_chi(C4, N, chi)
+        _, chars, q = subgroup_characters(N)
+        sig = sigma_chi(C4, N, chars[1], q)
         assert sig.group.order == 2
         assert sig.angle(1, 1) == F(1, 2)
         assert sig.angle(0, 0) == 0 and sig.angle(0, 1) == 0
@@ -470,8 +483,9 @@ class TestSigmaChi:
         Zq = center(Q8)
         pres = None
         seen = set()
-        for chi in subgroup_characters(Zq):
-            sig = sigma_chi(Q8, Zq, chi)
+        _, chars, q = subgroup_characters(Zq)
+        for chi in chars:
+            sig = sigma_chi(Q8, Zq, chi, q)
             assert sig.group.order == 4 and sig.group.is_abelian()
             if pres is None:
                 pres = h2_presentation(build_chain(sig.group))
@@ -484,8 +498,9 @@ class TestSigmaChi:
         assert len(Z.members) == 2
         pres = None
         seen = set()
-        for chi in subgroup_characters(Z):
-            sig = sigma_chi(D4, Z, chi)
+        _, chars, q = subgroup_characters(Z)
+        for chi in chars:
+            sig = sigma_chi(D4, Z, chi, q)
             if pres is None:
                 pres = h2_presentation(build_chain(sig.group))
             seen.add(induced_character(sig, pres).angles)
@@ -496,29 +511,30 @@ class TestSigmaChi:
         for G in (quaternion8(), dihedral(4)):
             N = center(G)
             Q, _, lift = quotient(G, N)
-            for chi in subgroup_characters(N):
-                sig = sigma_chi(G, N, chi)
+            members, chars, q = subgroup_characters(N)
+            for row in chars:
+                sig = sigma_chi(G, N, row, q)
+                chi = dict(zip(members.tolist(), row.tolist()))
                 for s in range(Q.order):
                     for t in range(Q.order):
                         g = G.mul(G.mul(int(lift[s]), int(lift[t])), G.inv(int(lift[Q.mul(s, t)])))
-                        assert sig.angle(s, t) == chi[g]
+                        assert sig.angle(s, t) == F(chi[g], q)
 
     def test_noncentral_subgroup_rejected(self):
         S3 = symmetric(3)
         A3 = Subgroup(S3, (0, 3, 4))  # normal but not central
-        chi = {0: F(0), 3: F(1, 3), 4: F(2, 3)}
         with pytest.raises(InvalidGroupError):
-            sigma_chi(S3, A3, chi)
+            sigma_chi(S3, A3, [0, 1, 2], 3)
 
     def test_bad_character_rejected(self):
         C4 = cyclic(4)
         N = Subgroup(C4, (0, 2))
         with pytest.raises(InvalidGroupError):
-            sigma_chi(C4, N, {0: F(0), 2: F(1, 3)})  # not multiplicative
+            sigma_chi(C4, N, [0, 1], 3)  # not multiplicative
         with pytest.raises(InvalidGroupError):
-            sigma_chi(C4, N, {0: F(1, 2), 2: F(0)})  # identity not fixed
+            sigma_chi(C4, N, [1, 0], 2)  # identity not fixed
         with pytest.raises(InvalidGroupError):
-            sigma_chi(C4, N, {0: F(0)})  # wrong domain
+            sigma_chi(C4, N, [0], 1)  # wrong domain
 
 
 class TestShippedAndJson:

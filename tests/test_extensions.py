@@ -1,9 +1,12 @@
 """Central extension construction, classification, and fibers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from twistkit import extensions
+from twistkit import extensions, groups
+from twistkit.cocycles import characters_for_factors
 from twistkit.errors import ResourceCapError, VerificationError
 from twistkit.extensions import (
     CentralExtension,
@@ -28,7 +31,7 @@ from twistkit.groups import (
     quaternion8,
     symmetric,
 )
-from twistkit.homology import build_chain, characters_for_factors, h2_presentation, make_splitting
+from twistkit.homology import build_chain, h2_presentation, make_splitting
 from twistkit.staralg import block_profile, twisted_group_algebra
 
 KLEIN_LABELS = {"Q8", "D4(a)", "D4(b)", "D4(ab)"}
@@ -173,6 +176,19 @@ class TestClassification:
         with pytest.raises(ResourceCapError):
             classify_extension(ext)
 
+    @pytest.mark.parametrize("G, label", [(klein(), "Q8"), (dihedral(4), "unclassified:6feee6c4d5a1298a")])
+    def test_canonical_table_searched_once(self, G, label, monkeypatch):
+        # the candidates are built once per process, so after a first
+        # classification only the total group's table is searched, and once
+        classify_extension(sample_extension(G, seed=3))
+        searched = []
+        search = groups._least_relabeling
+        monkeypatch.setattr(groups, "_least_relabeling", lambda H: searched.append(H) or search(H))
+        ext = sample_extension(G, seed=3)
+        assert classify_extension(ext).label == label
+        assert extension_report(ext)["class"] == label
+        assert searched == [ext.total]
+
     def test_fingerprint_invariant_under_relabeling(self):
         G = direct_product(cyclic(2), cyclic(4))
         rng = np.random.default_rng(3)
@@ -252,7 +268,32 @@ class TestFibers:
         pibar = ext.split.pibar_table
         for chi in characters_for_factors(ext.split.h2.invariant_factors):
             omega = cocycle_of_character(ext.split, chi)
-            assert all(omega.angle(i, j) == chi(pibar[:, i, j]) for i in range(4) for j in range(4))
+            assert all(
+                omega.angle(i, j) == Fraction(chi(pibar[:, i, j]), chi.q) for i in range(4) for j in range(4)
+            )
+
+    @pytest.mark.parametrize(
+        "G",
+        [klein(), dihedral(4), quaternion8(), direct_product(cyclic(2), cyclic(4)), abelian_group((2, 2, 2))],
+        ids=lambda G: G.name,
+    )
+    def test_fiber_character_values_match_fraction_sums(self, G, monkeypatch):
+        # reference: chi at H2 coordinates c is sum a_i c_i mod 1 over the
+        # Fraction angles a_i, at every embedded element of the kernel
+        seen = []
+        monkeypatch.setattr(extensions, "cutdown_fiber", lambda _, N, num, q: seen.append((N, num, q)))
+        for seed in range(8):
+            ext = sample_extension(G, seed=seed)
+            coords, _ = mixed_radix(ext.h2.torsion)
+            for chi in characters_for_factors(ext.h2.torsion):
+                seen.clear()
+                fiber_of_extension(ext, chi)
+                [(N, num, q)] = seen
+                want = {
+                    int(e): sum((a * int(c) for a, c in zip(chi.angles, x)), Fraction(0)) % 1
+                    for e, x in zip(ext.embed.map, coords)
+                }
+                assert dict(zip(N.members, (Fraction(int(n), q) for n in num))) == want
 
     def test_cocycle_of_character_trivial_chi(self):
         ext = sample_extension(klein(), seed=2)

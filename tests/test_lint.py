@@ -1,5 +1,5 @@
 """Static hygiene of the package source: no unused imports, no locals that
-are assigned and never read.
+are assigned and never read, and only the cocycles module imports fractions.
 
 A small ast pass stands in for a linter.  An import counts as used when
 its bound name is loaded anywhere in the module; a local counts as read
@@ -64,6 +64,26 @@ def unread_locals(tree: ast.Module) -> list[str]:
                 ):
                     out.append(f"{t.id} in {fn.name} (line {t.lineno})")
     return out
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules an import statement anywhere loads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_cocycles_imports_fractions():
+    # cocycles is the one module that knows an angle is a rational; every
+    # other module passes int64 numerators over a denominator q
+    probe = ast.parse("import a.b\nfrom c.d import e\nfrom . import f\nfrom .g import h\n")
+    assert imported_modules(probe) == {"a", "c"}
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert [name for name, tree in trees.items() if "fractions" in imported_modules(tree)] == ["cocycles.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
