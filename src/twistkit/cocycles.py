@@ -40,7 +40,7 @@ def _numerators(angles, q: int | None = None, wrap: bool = True) -> tuple[np.nda
     mod 1 or with wrap=False refused outside [0, 1)."""
     shape = np.shape(angles)
     if q is None:
-        fracs = [Fraction(a) for a in np.asarray(angles, dtype=object).flat]
+        fracs = [a if isinstance(a, Fraction) else Fraction(a) for a in np.asarray(angles, dtype=object).flat]
         q = lcm(*(f.denominator for f in fracs))
         angles = [f.numerator * (q // f.denominator) for f in fracs]
         if not wrap and not all(0 <= n < q for n in angles):

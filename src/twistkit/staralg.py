@@ -1,24 +1,24 @@
 """Finite-dimensional *-algebras over C, given by disjoint monomial families.
 
-An algebra is a basis of D x D matrices closed (numerically) under product
-and adjoint, together with a distinguished trace.  Every basis built here
-is a *disjoint monomial family*: each matrix has at most one nonzero entry
-in every row and every column, and no two matrices share a nonzero
-position.  The u_g of a twisted regular representation, matrix units,
-tensor products, crossed products, induced algebras and the fibers over
-central characters are all of this kind, and StarAlgebra accepts nothing
-else.  So a basis is stored as its row maps, two (n, D) arrays: row r of
-b_i holds val[i, r] in column col[i, r], and val = 0 marks an empty row.
-Every builder writes these arrays by index arithmetic, and StarAlgebra
-works from them alone; the dense (n, D, D) basis is formed only on request:
+An algebra is a basis of D x D matrices closed under product and adjoint.
+Every basis built here is a *disjoint monomial family*: each matrix has at
+most one nonzero entry in every row and every column, and no two matrices
+share a nonzero position.  The u_g of a twisted regular representation,
+matrix units, tensor products, crossed products, induced algebras and the
+fibers over central characters are all of this kind, and StarAlgebra
+accepts nothing else.  Every entry is a root of unity with a rational
+angle, so a basis is stored as its row maps, two (n, D) int64 arrays over
+one denominator q as in cocycles: row r of b_i holds e^(2 pi i num[i, r] / q)
+in column col[i, r], and num = EMPTY marks an empty row.  Every builder
+writes these by index arithmetic, and every check on them is an identity
+of integers:
 
-- independence is exact: the supports are nonempty and pairwise disjoint;
-- coordinates are a gather over the supports, and the reconstruction's
-  residual must stay within TOL times the largest input entry;
-- the product of two basis matrices composes their row maps, so closure,
-  adjoints and positivity of the trace's Gram matrix are checked for every
-  pair, in chunks, and the products' coordinates are kept as sparse
-  structure constants;
+- independence: the supports are nonempty and pairwise disjoint;
+- the product of two basis matrices composes their row maps, adding
+  numerators mod q; it lies in the span when it covers every support it
+  meets whole, at one numerator difference (the structure constant).
+  Closure and adjoints are checked for every pair;
+- the trace is the normalized matrix trace, so it is positive;
 - the center is the null space of (2n, n) commutator coordinates;
 - twisted systems (phased basis permutations, monomial unitary cocycles)
   are checked, crossed, induced and stabilized by composing RowMaps.
@@ -31,20 +31,22 @@ characters, induction over a subgroup, and stabilization are all built on
 top and cross-checked against each other by comparing profiles, which are
 a complete invariant of finite-dimensional semisimple algebras.
 
-The matrix layer is floating point; exactness lives upstream in the
-cocycle layer, and the integers recovered here (ranks, block sizes) are
-asserted to be consistent (sum of d_i^2 = dim) before anything is
-returned.
+Floats appear only as the realization _phase(num / q): in the spectral block
+profile, whose integers (ranks, block sizes) are asserted to be consistent
+(sum of d_i^2 = dim) before anything is returned, and in verify_stabilization's
+reported deviation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 
 import numpy as np
 
-from .cocycles import Cocycle2, central_character, normalize, sigma_chi, subgroup_characters, trivial_cocycle
+from .cocycles import MAX_DENOMINATOR, Cocycle2, central_character, normalize, sigma_chi, subgroup_characters
+from .cocycles import trivial_cocycle
 from .errors import DecompositionUnstableError, InvalidGroupError, ResourceCapError, VerificationError
 from .groups import FiniteGroup, Subgroup, coset_index, quotient, subgroup_as_group
 
@@ -54,6 +56,8 @@ MAX_RETRIES = 8
 CROSSED_CAP = 4096
 # m^3 composed entries in the closure check and m^3 cocycle triples; about 3 s at m = 256
 TWIST_CAP = 2**24
+# the numerator of an empty row, and of a zero coordinate
+EMPTY = -1
 
 # index compositions and commutator scatters run in chunks of about this many
 # entries, so that each chunk's index and value arrays are a few hundred KB
@@ -64,6 +68,34 @@ def _phase(angle):
     """e^(2 pi i angle) for a float array of angles num / q; with q <= MAX_DENOMINATOR
     each quotient is the float nearest its rational angle, however num / q is reduced."""
     return np.exp(2j * np.pi * angle)
+
+
+def _lcm(*qs: int) -> int:
+    """The common denominator of phases over the qs, refused above MAX_DENOMINATOR."""
+    q = lcm(*qs)
+    if q > MAX_DENOMINATOR:
+        raise ValueError(f"the phases need a common denominator of {q.bit_length()} bits, above 2**52")
+    return q
+
+
+def _lift(num: np.ndarray, q: int, to: int) -> np.ndarray:
+    """Numerators over q read over its multiple to; EMPTY stays EMPTY."""
+    return num if to == q else np.where(num == EMPTY, EMPTY, num * (to // q))
+
+
+def _add(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a + b mod q for numerators in [0, q) below 2**52; EMPTY where either is."""
+    total = a + b
+    return np.where((a | b) < 0, EMPTY, total - q * (total >= q))
+
+
+def _checked(num, q: int, empty: bool) -> np.ndarray:
+    """num as a read-only int64 array, checked to lie in [0, q) or, where empty, to be EMPTY."""
+    num = np.array(num, dtype=np.int64)
+    if not 1 <= q <= MAX_DENOMINATOR or num.size and (num.min() < (EMPTY if empty else 0) or num.max() >= q):
+        raise ValueError("numerators must lie in [0, q), or be EMPTY where allowed, with 1 <= q <= 2**52")
+    num.setflags(write=False)
+    return num
 
 
 def check_crossed_cap(dim: int) -> None:
@@ -84,80 +116,76 @@ def _bincount_complex(keys: np.ndarray, weights: np.ndarray, size: int) -> np.nd
 
 
 class RowMaps:
-    """A stack (..., D) of monomial D x D matrices by their row maps, laid out
-    like StarAlgebra's (col, val).  Items index like numpy arrays, @ composes
-    them with broadcasting over the leading axes, H is the adjoint and
-    deviation the largest entry of a difference."""
+    """A stack (..., D) of monomial D x D matrices by their row maps over q,
+    laid out like StarAlgebra's (col, num).  Items index like numpy arrays, @
+    composes two stacks over one q with broadcasting over the leading axes
+    (numerators add), H is the adjoint (they negate) and same tells which
+    items of two stacks over one q are equal."""
 
-    def __init__(self, col: np.ndarray, val: np.ndarray):
-        self.col, self.val = col, val
+    def __init__(self, col: np.ndarray, num: np.ndarray, q: int):
+        self.col, self.num, self.q = col, num, q
 
     def __getitem__(self, idx) -> "RowMaps":
-        return RowMaps(self.col[idx], self.val[idx])
+        return RowMaps(self.col[idx], self.num[idx], self.q)
 
     def __matmul__(self, other: "RowMaps") -> "RowMaps":
         # row r of self lands in column c = self.col[r], and row c of other takes it on
         shape = np.broadcast_shapes(self.col.shape, other.col.shape)
         mid = np.broadcast_to(self.col, shape)
         col = np.take_along_axis(np.broadcast_to(other.col, shape), mid, axis=-1)
-        return RowMaps(col, self.val * np.take_along_axis(np.broadcast_to(other.val, shape), mid, axis=-1))
+        num = np.take_along_axis(np.broadcast_to(other.num, shape), mid, axis=-1)
+        return RowMaps(col, _add(self.num, num, self.q), self.q)
 
     @property
     def H(self) -> "RowMaps":
-        # row c of the adjoint holds conj(val[r]) in column r; empty rows write to a spare column
+        # row c of the adjoint holds -num[r] in column r; empty rows write to a spare column
         *lead, D = self.col.shape
-        col, val = self.col.reshape(-1, D), self.val.reshape(-1, D)
-        a, to = np.arange(len(col))[:, None], np.where(val != 0, col, D)
-        out = RowMaps(*(np.zeros((len(col), D + 1), dtype=dt) for dt in (np.int64, np.complex128)))
-        out.col[a, to], out.val[a, to] = np.arange(D), np.conj(val)
-        return RowMaps(out.col[:, :D].reshape(*lead, D), out.val[:, :D].reshape(*lead, D))
+        to = np.where(self.num != EMPTY, self.col, D)
+        col, num = np.zeros((*lead, D + 1), dtype=np.int64), np.full((*lead, D + 1), EMPTY)
+        np.put_along_axis(col, to, np.broadcast_to(np.arange(D), to.shape), axis=-1)
+        np.put_along_axis(num, to, np.where(self.num == EMPTY, EMPTY, -self.num % self.q), axis=-1)
+        return RowMaps(col[..., :D], num[..., :D], self.q)
 
-    def deviation(self, other: "RowMaps") -> np.ndarray:
-        """The largest entry of |self - other| in each item."""
-        a, b = np.abs(self.val), np.abs(other.val)
-        return np.where(self.col == other.col, np.abs(self.val - other.val), np.maximum(a, b)).max(axis=-1)
+    def same(self, other: "RowMaps") -> np.ndarray:
+        """Whether each item of self equals the item of other."""
+        return ((self.num == other.num) & ((self.num == EMPTY) | (self.col == other.col))).all(axis=-1)
 
 
 class StarAlgebra:
-    """A concrete *-algebra: basis matrices given by their row maps, a trace,
-    and a label.
+    """A concrete *-algebra: basis matrices given by their row maps over one
+    denominator q, and a label; its trace is the normalized matrix trace.
 
-    col, val: (n, D) arrays; basis matrix b_i is the D x D matrix whose row r
-    holds val[i, r] in column col[i, r], and val[i, r] = 0 marks an empty row.
+    col, num: (n, D) arrays; row r of basis matrix b_i holds e^(2 pi i
+    num[i, r] / q) in column col[i, r], or nothing where num[i, r] = EMPTY.
     The b_i must form a disjoint monomial family spanning a subalgebra of M_D
-    closed under adjoint.  trace_vector[i] is the trace of b_i; the trace is
-    required to be normalized (trace(1) = 1) and positive on the Gram matrix
-    when the span contains the identity.  Construction checks all of this on
-    every pair of basis elements and keeps the structure constants: b_i b_j
-    has coefficient coef at b_t for each entry of structure = (pair, t, coef)
-    with pair = i * n + j; a pair with a zero product has no entry.  Likewise
-    b_i* has coefficient coef at b_t for each entry of adjoints = (i * n + t,
-    coef).  Both tables are sorted by key.
+    closed under adjoint; construction checks every pair and keeps the
+    structure constants: b_i b_j has coefficient e^(2 pi i coef / q) at b_t
+    for each entry of structure = (pair, t, coef) with pair = i * n + j, b_i*
+    has one at b_t for each entry of adjoints = (i * n + t, coef), both sorted
+    by key.  unit holds the identity's coordinates, EMPTY off them, or None.
     """
 
-    def __init__(self, col, val, trace_vector, label: str = ""):
-        col = np.array(col, dtype=np.int64)
-        val = np.array(val, dtype=np.complex128)
-        if val.ndim != 2 or val.size == 0 or col.shape != val.shape:
-            raise ValueError("col and val must be nonempty (n, D) arrays of one shape")
-        if col.min() < 0 or col.max() >= val.shape[1]:
+    def __init__(self, col, num, q: int, label: str = ""):
+        q, col, num = int(q), np.array(col, dtype=np.int64), _checked(num, int(q), empty=True)
+        if num.ndim != 2 or num.size == 0 or col.shape != num.shape:
+            raise ValueError("col and num must be nonempty (n, D) arrays of one shape")
+        if col.min() < 0 or col.max() >= num.shape[1]:
             raise ValueError("a column index lies outside the D x D matrices")
-        for a in (col, val):
-            a.setflags(write=False)
-        self.col, self.val = col, val
-        self.dim, self.rep_dim = val.shape
+        col.setflags(write=False)
+        self.col, self.num, self.q = col, num, q
+        self.dim, self.rep_dim = num.shape
         self.label = label
-        self.trace_vector = np.asarray(trace_vector, dtype=np.complex128)
-        if self.trace_vector.shape != (self.dim,):
-            raise ValueError("trace vector length must match the basis")
         self._index_supports()
-        self.unit_coords = self._find_unit()
         self._check_closure()
+        one = self._coords(RowMaps(np.arange(self.rep_dim), np.zeros(self.rep_dim, dtype=np.int64), self.q))
+        self.unit = None if one is None else np.full(self.dim, EMPTY)
+        if one is not None:
+            self.unit[one[0]] = one[1]
 
     def _index_supports(self):
         """Certify a disjoint monomial family and index its supports."""
         n, D = self.dim, self.rep_dim
-        owner, row = np.nonzero(self.val)  # grouped by owner
+        owner, row = np.nonzero(self.num != EMPTY)  # grouped by owner
         col = self.col[owner, row]
         size = np.bincount(owner, minlength=n)
         if size.min() == 0:
@@ -166,26 +194,38 @@ class StarAlgebra:
             raise ValueError("basis is not a disjoint monomial family: two matrices share a nonzero position")
         if np.bincount(owner * D + col).max() > 1:
             raise ValueError("basis is not a disjoint monomial family: a row or column holds two nonzeros")
-        val = self.val[owner, row]
-        self._norm = np.bincount(owner, np.abs(val) ** 2, n)
-        self._owner_of, self._pos, self._val = owner, row * D + col, val
-        self._start = np.cumsum(size) - size  # where each support begins
-        self._size = size
-        self._weight = np.conj(val) / self._norm[owner]  # coords_i(M) = sum of weight * M over supp(b_i)
-        self.entry_max = np.maximum.reduceat(np.abs(val), self._start)
-        # trace of x -> p x is sum_r p[r, r] row_weight[r] (see multiplier_trace)
-        self._row_weight = np.bincount(row, np.abs(val) ** 2 / self._norm[owner], D)
+        self._owner_of, self._pos, self._num = owner, row * D + col, self.num[owner, row]
+        self._start, self._size = np.cumsum(size) - size, size  # where each support begins, and its size
         self._owner = np.full((D, D), -1)  # position (r, c) belongs to b_owner[r, c], or to none
         self._owner[row, col] = owner
 
+    @cached_property
+    def _val(self) -> np.ndarray:
+        """The entries over the supports as floats, for the spectral block profile."""
+        return _phase(self._num / self.q)
+
     @property
     def basis(self) -> np.ndarray:
-        """The dense (n, D, D) basis, read-only, scattered from the row maps on
+        """The dense (n, D, D) basis, read-only, realized from the row maps on
         each access; nothing in this module reads it."""
         out = np.zeros((self.dim, self.rep_dim**2), dtype=np.complex128)
         out[self._owner_of, self._pos] = self._val
         out.setflags(write=False)
         return out.reshape(self.dim, self.rep_dim, self.rep_dim)
+
+    @property
+    def unit_coords(self) -> np.ndarray | None:
+        """The identity's coordinates as complex numbers, or None."""
+        return None if self.unit is None else np.where(self.unit == EMPTY, 0, _phase(self.unit / self.q))
+
+    @property
+    def trace_vector(self) -> np.ndarray:
+        """tau(b_i) for the normalized matrix trace, summed over the diagonal."""
+        diag = self._pos % (self.rep_dim + 1) == 0  # r * D + c with r = c
+        return _bincount_complex(self._owner_of[diag], self._val[diag], self.dim) / self.rep_dim
+
+    def trace(self, coords) -> complex:
+        return complex(np.dot(np.asarray(coords, dtype=np.complex128), self.trace_vector))
 
     # -- coordinates -------------------------------------------------------
 
@@ -201,7 +241,8 @@ class StarAlgebra:
         flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
         if not len(flat):
             return np.zeros((0, self.dim), dtype=np.complex128)
-        coords = np.add.reduceat(flat[:, self._pos] * self._weight, self._start, axis=1)
+        weight = np.conj(self._val) / self._size[self._owner_of]
+        coords = np.add.reduceat(flat[:, self._pos] * weight, self._start, axis=1)
         diff = flat.copy()
         diff[:, self._pos] -= coords[:, self._owner_of] * self._val
         resid = float(np.abs(diff).max())
@@ -210,30 +251,27 @@ class StarAlgebra:
             raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
         return coords
 
-    def elements(self, coords) -> RowMaps:
-        """Row maps of sum_i c_i b_i for a stack (..., n) of coordinates; each
-        sum must be monomial, as a unit or a block-diagonal unitary is."""
-        c = np.asarray(coords, dtype=np.complex128)
+    def elements(self, coords, q: int) -> RowMaps:
+        """Row maps over q, a multiple of self.q, of sum_i c_i b_i for a stack
+        (..., n) of numerators c_i over q (EMPTY for 0); each must be monomial."""
+        c = np.asarray(coords, dtype=np.int64)
         flat, D = c.reshape(-1, self.dim), self.rep_dim
-        a, e = np.nonzero(flat[:, self._owner_of])
+        a, e = np.nonzero(flat[:, self._owner_of] != EMPTY)
         row, col = np.divmod(self._pos[e], D)
         if max(np.bincount(a * D + row).max(initial=0), np.bincount(a * D + col).max(initial=0)) > 1:
             raise ValueError("element is not monomial: a row or column holds two nonzeros")
-        out = RowMaps(*(np.zeros((*c.shape[:-1], D), dtype=dt) for dt in (np.int64, np.complex128)))
+        out = RowMaps(np.zeros((*c.shape[:-1], D), dtype=np.int64), np.full((*c.shape[:-1], D), EMPTY), q)
         out.col.reshape(-1, D)[a, row] = col  # views of the fresh arrays
-        out.val.reshape(-1, D)[a, row] = flat[a, self._owner_of[e]] * self._val[e]
+        out.num.reshape(-1, D)[a, row] = _add(flat[a, self._owner_of[e]], _lift(self._num[e], self.q, q), q)
         return out
-
-    def trace(self, coords) -> complex:
-        return complex(np.dot(np.asarray(coords, dtype=np.complex128), self.trace_vector))
 
     def multiplier_trace(self, p: np.ndarray) -> complex:
         """Trace of the map x -> p x on the algebra, for p in the algebra.
 
         Where b_i has the entry (r, c), the entry of p b_i is p[r, r] b_i[r, c],
-        so coords_i(p b_i) is the |b_i|^2-weighted mean of p's diagonal over
-        the rows of b_i."""
-        return complex(np.diagonal(p) @ self._row_weight)
+        so coords_i(p b_i) is the mean of p's diagonal over the rows of b_i."""
+        weight = np.bincount(self._pos // self.rep_dim, 1 / self._size[self._owner_of], self.rep_dim)
+        return complex(np.diagonal(p) @ weight)
 
     def commutators(self, z) -> np.ndarray:
         """Coordinates of [b_i, z] for every i, from the structure constants:
@@ -242,142 +280,89 @@ class StarAlgebra:
         z = np.asarray(z, dtype=np.complex128).reshape(n, -1)
         m = z.shape[1]
         pair, t, coef = self.structure
+        coef = _phase(coef / self.q)
         i, j = np.divmod(pair, n)
         keys = np.concatenate([t * n + i, t * n + j])  # b_i b_j is in [b_i, z] and in [b_j, z]
         weights = np.concatenate([coef[:, None] * z[j], -coef[:, None] * z[i]])
         flat_keys = (keys[:, None] * m + np.arange(m)).ravel()
         return _bincount_complex(flat_keys, weights.ravel(), n * n * m).reshape(n, n, m)
 
-    def _find_unit(self):
-        """Coordinates of the identity, gathered over its diagonal; None off the span."""
-        row, col = np.divmod(self._pos, self.rep_dim)
-        diag = row == col
-        coords = np.add.reduceat(np.where(diag, self._weight, 0), self._start)
-        full = np.count_nonzero(diag) == self.rep_dim
-        return coords if full and np.abs(coords[self._owner_of] * self._val - diag).max() <= TOL else None
-
     # -- validation --------------------------------------------------------
 
-    def _monomial_coords(self, col: np.ndarray, val: np.ndarray):
-        """Coordinates of k monomial matrices given by row maps (k, D) in the
-        layout of (self.col, self.val).
-
-        Returns (key, coef, resid, scale): matrix a has coordinate coef at
-        b_t for each key = a * n + t, in ascending key order; resid is the
-        largest entry of the reconstruction's residual and scale the largest
-        input entry."""
-        n = self.dim
-        own = self._owner[np.arange(self.rep_dim), col]  # -1 on unowned positions
-        hit = (own >= 0) & (val != 0)
-        a, r = np.nonzero(hit)
-        t = own[a, r]
-        entry = self.val[t, r]  # b_t's own entry at the position
-        key, inv = np.unique(a * n + t, return_inverse=True)
-        coef = _bincount_complex(inv, np.conj(entry) / self._norm[t] * val[a, r], len(key))
-        hits = np.bincount(inv, minlength=len(key))
-        resid = max(
-            float(np.abs(val[~hit]).max(initial=0.0)),
-            float(np.abs(val[a, r] - coef[inv] * entry).max(initial=0.0)),
-        )
-        # a matrix that meets supp(b_t) but misses part of it leaves coef * b_t there
-        short = np.flatnonzero(hits < self._size[key % n])
-        if len(short):
-            a, t = np.divmod(key[short], n)
-            size = self._size[t]
-            item = np.repeat(np.arange(len(short)), size)
-            p = np.arange(size.sum()) + np.repeat(self._start[t] - (np.cumsum(size) - size), size)
-            r, c = np.divmod(self._pos[p], self.rep_dim)
-            gap = np.abs(coef[short][item]) * np.abs(self._val[p])
-            resid = max(resid, float(gap[(col[a[item], r] != c) | (val[a[item], r] == 0)].max(initial=0.0)))
-        return key, coef, resid, max(1.0, float(np.abs(val).max(initial=0.0)))
+    def _coords(self, rows: RowMaps):
+        """Coordinates of a stack of monomial matrices over a multiple rows.q of
+        q, as (key, coef): item a has coefficient e^(2 pi i coef / rows.q) at
+        b_t for each key = a * n + t, in ascending order.  None when an item
+        leaves the span: it holds an entry off the supports, or meets one
+        without covering it whole at one numerator difference."""
+        n, D = self.dim, self.rep_dim
+        col, num = rows.col.reshape(-1, D), rows.num.reshape(-1, D)
+        a, r = np.nonzero(num != EMPTY)
+        t = self._owner[r, col[a, r]]  # -1 on unowned positions
+        diff = (num[a, r] - _lift(self.num[t, r], self.q, rows.q)) % rows.q
+        key, first, inv, hits = np.unique(a * n + t, return_index=True, return_inverse=True, return_counts=True)
+        coef = diff[first]
+        if (t < 0).any() or (hits != self._size[key % n]).any() or (diff != coef[inv]).any():
+            return None
+        return key, coef
 
     def _check_closure(self):
-        """Every product b_i b_j and every adjoint lies in the span, and the
-        trace is positive on the Gram matrix tau(b_i* b_j) when the span is
-        unital.  Products compose row maps, a chunk of left factors at a time."""
+        """Every product b_i b_j and every adjoint lies in the span.  Products
+        compose row maps, a chunk of left factors at a time."""
         n, D = self.dim, self.rep_dim
         rows = max(1, _CHUNK // (n * D))
-        right = np.arange(n)[None, :, None]
-        pairs, targets, coefs = [], [], []
-        resid, scale = 0.0, 1.0
+        right = np.arange(n)[None, :, None] * D
+        tables = []
         for i0 in range(0, n, rows):
-            left = slice(i0, min(n, i0 + rows))
-            mid = self.col[left, None, :]  # row r of b_i lands in column mid ...
-            col = self.col[right, mid]  # ... and b_j takes it on to col
-            val = self.val[left, None, :] * self.val[right, mid]
-            key, coef, r, s = self._monomial_coords(col.reshape(-1, D), val.reshape(-1, D))
-            pairs.append(i0 * n + key // n)
-            targets.append(key % n)
-            coefs.append(coef)
-            resid, scale = max(resid, r), max(scale, s)
-        if resid > TOL * scale:
-            raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
-        self.structure = (np.concatenate(pairs), np.concatenate(targets), np.concatenate(coefs))
-        adj = RowMaps(self.col, self.val).H
-        key, coef, resid, scale = self._monomial_coords(adj.col, adj.val)
-        if resid > TOL * scale:
-            raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
-        self.adjoints = (key, coef)
-        if self.unit_coords is not None:
-            one = self.trace(self.unit_coords)
-            if abs(one - 1.0) > 1e-6:
-                raise ValueError(f"trace of the unit is {one:.6f}, expected 1")
-            # Gram matrix tau(b_i* b_j) = sum_c coords_c(b_i*) tau(b_c b_j) must be positive semidefinite
-            adj = np.zeros(n * n, dtype=np.complex128)
-            adj[key] = coef
-            pair, t, coef = self.structure
-            pair_traces = _bincount_complex(pair, coef * self.trace_vector[t], n * n).reshape(n, n)
-            gram = adj.reshape(n, n) @ pair_traces
-            w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-            if w.min() < -1e-7:
-                raise ValueError("trace is not positive on the basis Gram matrix")
+            mid = right + self.col[i0 : i0 + rows, None, :]  # row r of b_i lands in row col[i, r] of b_j
+            num = _add(self.num[i0 : i0 + rows, None, :], np.take(self.num, mid), self.q)
+            found = self._coords(RowMaps(np.take(self.col, mid), num, self.q))
+            if found is None:
+                raise ValueError("matrix outside the algebra span")
+            tables.append((i0 * n + found[0] // n, found[0] % n, found[1]))
+        self.structure = tuple(np.concatenate(part) for part in zip(*tables))
+        self.adjoints = self._coords(RowMaps(self.col, self.num, self.q).H)
+        if self.adjoints is None:
+            raise ValueError("matrix outside the algebra span")
 
 
 def scalar_algebra() -> StarAlgebra:
-    return StarAlgebra(np.zeros((1, 1)), np.ones((1, 1)), np.ones(1), label="C")
+    return StarAlgebra(np.zeros((1, 1)), np.zeros((1, 1)), 1, label="C")
 
 
 def matrix_algebra(d: int) -> StarAlgebra:
-    """Full matrix algebra M_d with its normalized trace; E_ij at index i * d + j."""
+    """Full matrix algebra M_d; E_ij at index i * d + j."""
     if d < 1:
         raise ValueError("dimension must be positive")
     idx = np.arange(d * d)
-    col = np.zeros((d * d, d), dtype=np.int64)
-    val = np.zeros((d * d, d), dtype=np.complex128)
-    col[idx, idx // d] = idx % d
-    val[idx, idx // d] = 1.0
-    tr = np.where(idx // d == idx % d, 1.0 / d, 0.0).astype(np.complex128)
-    return StarAlgebra(col, val, tr, label=f"M{d}")
+    col, num = np.zeros((d * d, d), dtype=np.int64), np.full((d * d, d), EMPTY)
+    col[idx, idx // d], num[idx, idx // d] = idx % d, 0
+    return StarAlgebra(col, num, 1, label=f"M{d}")
 
 
 def tensor_algebra(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
-    """Tensor product with the product trace; basis index is (i, j) row-major,
-    and each basis matrix is np.kron(a.basis[i], b.basis[j]): row r * Db + s
-    holds a.val[i, r] b.val[j, s] in column a.col[i, r] * Db + b.col[j, s]."""
-    n, D, Db = a.dim * b.dim, a.rep_dim * b.rep_dim, b.rep_dim
+    """Tensor product; basis index is (i, j) row-major, and each basis matrix
+    is np.kron(a.basis[i], b.basis[j]): row r * Db + s holds the phase
+    a.num[i, r] + b.num[j, s] in column a.col[i, r] * Db + b.col[j, s]."""
+    n, D, Db, q = a.dim * b.dim, a.rep_dim * b.rep_dim, b.rep_dim, _lcm(a.q, b.q)
     col = (a.col[:, None, :, None] * Db + b.col[None, :, None, :]).reshape(n, D)
-    val = (a.val[:, None, :, None] * b.val[None, :, None, :]).reshape(n, D)
-    tr = np.outer(a.trace_vector, b.trace_vector).ravel()
-    return StarAlgebra(col, val, tr, label=f"{a.label}(x){b.label}")
+    num = _add(_lift(a.num, a.q, q)[:, None, :, None], _lift(b.num, b.q, q)[None, :, None, :], q)
+    return StarAlgebra(col, num.reshape(n, D), q, label=f"{a.label}(x){b.label}")
 
 
-def _translation_algebra(table: np.ndarray, phase: np.ndarray, label: str) -> StarAlgebra:
-    """The k x k monomial matrices u_a with u_a delta_b = phase[a, b] delta_{table[a, b]},
-    every row of table a permutation, with the normalized trace."""
+def _translation_algebra(table: np.ndarray, num: np.ndarray, q: int, label: str) -> StarAlgebra:
+    """The k x k monomial matrices u_a with u_a delta_b = e^(2 pi i num[a, b] / q)
+    delta_{table[a, b]}, every row of table a permutation."""
     k = len(table)
-    a = np.arange(k)[:, None]
-    col = np.zeros((k, k), dtype=np.int64)
-    col[a, table] = np.arange(k)
-    val = np.zeros((k, k), dtype=np.complex128)
-    val[a, table] = phase
-    tr = np.where(table == np.arange(k), phase, 0).sum(axis=1) / k
-    return StarAlgebra(col, val, tr, label=label)
+    a, col, rows = np.arange(k)[:, None], np.zeros((k, k), dtype=np.int64), np.zeros((k, k), dtype=np.int64)
+    col[a, table], rows[a, table] = np.arange(k), num
+    return StarAlgebra(col, rows, q, label=label)
 
 
 def twisted_group_algebra(G: FiniteGroup, omega: Cocycle2) -> StarAlgebra:
     """The algebra spanned by unitaries u_g with u_g u_h = omega(g, h) u_{gh},
-    realized on l^2(G) by u_g(delta_h) = omega(g, h) delta_{gh}, with the
-    canonical trace tau(x) = <x delta_e, delta_e>.
+    realized on l^2(G) by u_g(delta_h) = omega(g, h) delta_{gh}, whose
+    normalized trace is the canonical tau(x) = <x delta_e, delta_e>.
 
     A cocycle with some omega(g, g^-1) != 0 is replaced by its normalized
     representative first (same class, so the same algebra up to iso); after
@@ -386,17 +371,12 @@ def twisted_group_algebra(G: FiniteGroup, omega: Cocycle2) -> StarAlgebra:
     if not np.array_equal(G.table, omega.group.table):
         raise ValueError("cocycle lives on a different group")
     omega, _ = normalize(omega)
-    phase = _phase(omega.num / omega.q)
     tag = "" if omega.is_trivial_table() else ", w"
-    A = _translation_algebra(G.table, phase, f"C[{G.name}{tag}]")
+    A = _translation_algebra(G.table, omega.num, omega.q, f"C[{G.name}{tag}]")
     # relations u_g u_h = omega(g,h) u_{gh} hold by construction; re-check them
     # on the structure constants, one entry per pair (g, h) in row-major order
-    pair, t, coef = A.structure
-    if (
-        not np.array_equal(pair, np.arange(G.order**2))
-        or not np.array_equal(t, G.table.ravel())
-        or np.abs(coef - phase.ravel()).max() > TOL
-    ):
+    expected = (np.arange(G.order**2), G.table.ravel(), omega.num.ravel())  # (pair, t, coef)
+    if not all(np.array_equal(got, want) for got, want in zip(A.structure, expected)):
         raise VerificationError("twisted regular representation relations failed")
     return A
 
@@ -455,12 +435,13 @@ def _center_coords(A: StarAlgebra, rng) -> np.ndarray:
     if Z.shape[1] == 0:
         raise _Unstable("empty commutant, degenerate draw")
     # verify: every candidate center element commutes with the whole basis; the
-    # supports are disjoint, so the largest entry of sum_t c_t b_t is max |c_t| entry_max[t]
-    scale = max(1.0, float((np.abs(Z) * A.entry_max[:, None]).max()))
+    # supports are disjoint and the entries unimodular, so the largest entry of
+    # sum_t c_t b_t is max |c_t|
+    scale = max(1.0, float(np.abs(Z).max()))
     cols = max(1, _CHUNK // (A.dim * A.dim))
     for k0 in range(0, Z.shape[1], cols):
         comm = A.commutators(Z[:, k0 : k0 + cols])  # (t, i, k)
-        if (np.abs(comm) * A.entry_max[:, None, None]).max() > TOL * scale:
+        if np.abs(comm).max() > TOL * scale:
             raise _Unstable("joint commutant exceeds the center")
     return Z
 
@@ -512,68 +493,72 @@ def block_profile(A: StarAlgebra, seed: int = 0) -> BlockProfile:
 
 
 class TwistedSystem:
-    """A finite group acting on a StarAlgebra up to a unitary 2-cocycle.
+    """A finite group acting on a StarAlgebra up to a unitary 2-cocycle, every
+    phase a numerator over one q, the lcm of the given q and the algebra's.
 
-    alpha_s permutes the basis up to phases, alpha_s(b_i) = phase[s, i]
-    b_{target[s, i]}, each row of target a permutation of range(n);
-    omega[s, t] is the coordinate vector of a monomial unitary in A.  The
-    axioms (identity fixed, unit cocycle on the axes, the Ad-twisted
-    composition law, the cocycle condition, and that each alpha_s is a
-    *-automorphism, which must carry the structure constants and the adjoint
-    table onto themselves) are verified within TOL at construction.
+    alpha_s permutes the basis up to phases, alpha_s(b_i) = e^(2 pi i
+    phase[s, i] / q) b_{target[s, i]}, each row of target a permutation of
+    range(n); omega[s, t] holds the coordinate numerators of a monomial
+    unitary in A, EMPTY for a zero coordinate.  The axioms (identity fixed,
+    unit cocycle on the axes, the Ad-twisted composition law, the cocycle
+    condition, and that each alpha_s is a *-automorphism, which must carry
+    the structure constants and the adjoint table onto themselves) are
+    integer identities, checked at construction.
     """
 
-    def __init__(self, algebra: StarAlgebra, group: FiniteGroup, target, phase, omega):
-        self.algebra, self.group = algebra, group
+    def __init__(self, algebra: StarAlgebra, group: FiniteGroup, target, phase, omega, q: int):
+        self.algebra, self.group, self.q = algebra, group, _lcm(int(q), algebra.q)
         f, n = group.order, algebra.dim
         self.target = np.asarray(target, dtype=np.int64)
-        self.phase = np.asarray(phase, dtype=np.complex128)
-        self.omega = np.asarray(omega, dtype=np.complex128)
+        self.phase = _lift(_checked(phase, int(q), empty=False), int(q), self.q)
+        self.omega = _lift(_checked(omega, int(q), empty=True), int(q), self.q)
         if self.target.shape != (f, n) or self.phase.shape != (f, n) or self.omega.shape != (f, f, n):
             raise ValueError(f"target and phase must have shape {(f, n)}, omega {(f, f, n)}")
         if not np.array_equal(np.sort(self.target, axis=1), np.broadcast_to(np.arange(n), (f, n))):
             raise ValueError("every row of target must be a permutation of the basis")
-        if algebra.unit_coords is None:
+        if algebra.unit is None:
             raise ValueError("twisted systems need a unital coefficient algebra")
         self._validate()
 
-    def image(self, s, i, scale=1.0) -> RowMaps:
-        """Row maps of scale * alpha_s(b_i); s, i and scale broadcast."""
-        t = self.target[s, i]
-        return RowMaps(self.algebra.col[t], (self.phase[s, i] * scale)[..., None] * self.algebra.val[t])
+    def image(self, s, i, extra=0) -> RowMaps:
+        """Row maps of e^(2 pi i extra / q) alpha_s(b_i); s, i and extra broadcast."""
+        A, t = self.algebra, self.target[s, i]
+        phase = (self.phase[s, i] + extra) % self.q
+        return RowMaps(A.col[t], _add(_lift(A.num[t], A.q, self.q), phase[..., None], self.q), self.q)
 
     def act(self, r, coords) -> np.ndarray:
-        """Coordinates [r, ..., :] of alpha_r(x), r an index array, x a stack (..., n)."""
+        """Coordinate numerators [r, ..., :] of alpha_r(x), r an index array, x a stack (..., n)."""
         inv = np.argsort(self.target[r], axis=1)  # alpha_r(b_inv[r, u]) is a multiple of b_u
-        moved = np.asarray(coords)[..., inv] * np.take_along_axis(self.phase[r], inv, axis=1)
+        moved = _add(np.asarray(coords)[..., inv], np.take_along_axis(self.phase[r], inv, axis=1), self.q)
         return np.moveaxis(moved, -2, 0)
 
     def _validate(self):
-        A, F = self.algebra, self.group
+        A, F, q = self.algebra, self.group, self.q
         f, n, D, mul = F.order, A.dim, A.rep_dim, F.table
-        if not np.array_equal(self.target[0], np.arange(n)) or np.abs(self.phase[0] - 1).max() > TOL:
+        if not np.array_equal(self.target[0], np.arange(n)) or self.phase[0].any():
             raise VerificationError("alpha at the identity is not the identity map")
-        if np.abs(np.concatenate([self.omega[:, 0], self.omega[0]]) - A.unit_coords).max() > TOL:
+        if (np.concatenate([self.omega[:, 0], self.omega[0]]) != _lift(A.unit, A.q, q)).any():
             raise VerificationError("omega is not the unit along the identity row/column")
-        W = A.elements(self.omega)  # W[s, t] = omega(s, t)
-        _fail_first((W @ W.H).deviation(RowMaps(np.arange(D), np.ones(D))), "omega({},{}) is not unitary")
+        W = A.elements(self.omega, q)  # W[s, t] = omega(s, t), unitary when it fills every row
+        _fail_first((W.num == EMPTY).any(axis=-1), "omega({},{}) is not unitary")
         for S in _chunks(f, f * n * D):
             # alpha_s alpha_t (b_i) = omega(s,t) alpha_st(b_i) omega(s,t)*, over [s, t, i]
             twice = self.image(S[:, None, None], self.target, self.phase)
             conj = W[S, :, None] @ self.image(mul[S][..., None], np.arange(n)) @ W[S, :, None].H
-            _fail_first(twice.deviation(conj).max(axis=2), "composition axiom fails at ({},{})", S[0])
+            _fail_first(~twice.same(conj).all(axis=2), "composition axiom fails at ({},{})", S[0])
         for R in _chunks(f, f * f * (n + D)):
             # alpha_r(omega(s,t)) omega(r,st) = omega(r,s) omega(rs,t), over [r, s, t]
-            lhs = A.elements(self.act(R, self.omega)) @ W[R[:, None, None], mul]
-            _fail_first(lhs.deviation(W[R, :, None] @ W[mul[R]]), "cocycle axiom fails at ({},{},{})", R[0])
+            lhs = A.elements(self.act(R, self.omega), q) @ W[R[:, None, None], mul]
+            _fail_first(~lhs.same(W[R, :, None] @ W[mul[R]]), "cocycle axiom fails at ({},{},{})", R[0])
         # alpha_s is a *-automorphism when it carries every product b_i b_j, with
         # coef at b_t, to alpha_s(b_i) alpha_s(b_j) and every adjoint likewise
         (pair, t, c), (akey, ac) = A.structure, A.adjoints
+        c, ac = _lift(c, A.q, q), _lift(ac, A.q, q)
         key, (i, j), (ai, at) = pair * n + t, np.divmod(pair, n), np.divmod(akey, n)
         for S in _chunks(f, len(key) + len(akey)):
             T, p = self.target[S], self.phase[S]
-            mult = _carried(key, c, (T[:, i] * n + T[:, j]) * n + T[:, t], c * p[:, t], p[:, i] * p[:, j])
-            star = _carried(akey, ac, T[:, ai] * n + T[:, at], ac * p[:, at], np.conj(p[:, ai]))
+            mult = _carried(key, c, (T[:, i] * n + T[:, j]) * n + T[:, t], c + p[:, t] - p[:, i] - p[:, j], q)
+            star = _carried(akey, ac, T[:, ai] * n + T[:, at], ac + p[:, at] + p[:, ai], q)
             fault = np.where(mult, "does not preserve the adjoint", "is not multiplicative")
             for s in np.flatnonzero(~(mult & star))[:1]:
                 raise VerificationError(f"alpha({S[s]}) {fault[s]}")
@@ -585,25 +570,32 @@ def _chunks(f: int, entries: int):
     return (np.arange(s0, min(f, s0 + step)) for s0 in range(0, f, step))
 
 
-def _carried(key, coef, moved_key, moved_coef, scale) -> np.ndarray:
+def _carried(key, coef, moved_key, moved_coef, q: int) -> np.ndarray:
     """For each row of moved_key: whether the table (key, coef), sorted by key,
-    holds moved_coef / scale at each of these keys, as many as its own."""
+    holds moved_coef mod q at each of these keys, as many as its own."""
     at = np.searchsorted(key, moved_key).clip(max=len(key) - 1)
-    return ((key[at] == moved_key) & (np.abs(coef[at] * scale - moved_coef) <= TOL)).all(axis=-1)
+    return ((key[at] == moved_key) & ((coef[at] - moved_coef) % q == 0)).all(axis=-1)
 
 
-def _fail_first(dev: np.ndarray, message: str, offset: int = 0):
-    """Raise for the first index, in row-major order, where dev exceeds TOL;
-    the first axis counts from offset."""
-    bad = np.argwhere(dev > TOL)
-    if len(bad):
-        raise VerificationError(message.format(bad[0][0] + offset, *bad[0][1:]))
+def _fail_first(bad: np.ndarray, message: str, offset: int = 0):
+    """Raise for the first index where bad holds, row-major; axis 0 counts from offset."""
+    hit = np.argwhere(bad)
+    if len(hit):
+        raise VerificationError(message.format(hit[0][0] + offset, *hit[0][1:]))
+
+
+def _realized(A: StarAlgebra, rows: RowMaps, coords: np.ndarray) -> np.ndarray:
+    """Float entries of a stack of elements sum_u c_u b_u with full rows, from
+    float coordinates c_u: row r holds c_u times b_u's entry there."""
+    r = np.arange(A.rep_dim)
+    u = A._owner[r, rows.col]
+    return np.take_along_axis(coords, u, axis=-1) * _phase(A.num[u, r] / A.q)
 
 
 def trivial_system(A: StarAlgebra, F: FiniteGroup) -> TwistedSystem:
     f, n = F.order, A.dim
     target = np.broadcast_to(np.arange(n), (f, n))
-    return TwistedSystem(A, F, target, np.ones((f, n)), np.broadcast_to(A.unit_coords, (f, f, n)))
+    return TwistedSystem(A, F, target, np.zeros((f, n)), np.broadcast_to(A.unit, (f, f, n)), A.q)
 
 
 def scalar_system(F: FiniteGroup, omega: Cocycle2) -> TwistedSystem:
@@ -611,8 +603,8 @@ def scalar_system(F: FiniteGroup, omega: Cocycle2) -> TwistedSystem:
     if not np.array_equal(F.table, omega.group.table):
         raise ValueError("cocycle lives on a different group")
     omega, _ = normalize(omega)
-    table = _phase(omega.num / omega.q)[:, :, None]
-    return TwistedSystem(scalar_algebra(), F, np.zeros((F.order, 1)), np.ones((F.order, 1)), table)
+    f = F.order
+    return TwistedSystem(scalar_algebra(), F, np.zeros((f, 1)), np.zeros((f, 1)), omega.num[:, :, None], omega.q)
 
 
 def system_from_normal(G: FiniteGroup, N: Subgroup, sigma: Cocycle2 | None = None) -> TwistedSystem:
@@ -641,18 +633,16 @@ def system_from_normal(G: FiniteGroup, N: Subgroup, sigma: Cocycle2 | None = Non
     pos[emb] = np.arange(nn)
     B = twisted_group_algebra(Ngrp, Cocycle2(Ngrp, num[np.ix_(emb, emb)], sigma.q))
     Q, _, lift = quotient(G, N)
-    q = Q.order
     c = np.asarray(lift, dtype=np.int64)[:, None]  # c(s) down the rows
-    # each phase is a sum of two numerators, left unreduced below 2q: exact as a float
     # alpha_s(u_n) = sigma(c, n) sigma(cn, c^-1) u_{c n c^-1}
     cn, cinv = tbl[c, emb], inv[c]
-    phase = _phase((num[c, emb] + num[cn, cinv]) / sigma.q)
+    phase = (num[c, emb] + num[cn, cinv]) % sigma.q
     # omega(s, t) = sigma(c(s), c(t)) sigma(c(s)c(t), c(st)^-1) u_{c(s) c(t) c(st)^-1}
     cc, cst_inv = tbl[c, c.T], inv[c.ravel()[Q.table]]
-    omega = np.zeros((q, q, nn), dtype=np.complex128)
-    s, t = np.indices((q, q))
-    omega[s, t, pos[tbl[cc, cst_inv]]] = _phase((num[c, c.T] + num[cc, cst_inv]) / sigma.q)
-    return TwistedSystem(B, Q, pos[tbl[cn, cinv]], phase, omega)
+    omega = np.full((Q.order, Q.order, nn), EMPTY)
+    s, t = np.indices(Q.table.shape)
+    omega[s, t, pos[tbl[cc, cst_inv]]] = (num[c, c.T] + num[cc, cst_inv]) % sigma.q
+    return TwistedSystem(B, Q, pos[tbl[cn, cinv]], phase, omega, sigma.q)
 
 
 def crossed_product(sys: TwistedSystem) -> StarAlgebra:
@@ -661,17 +651,15 @@ def crossed_product(sys: TwistedSystem) -> StarAlgebra:
         (pi(a) xi)(g)   = alpha_{g^-1}(a) xi(g)
         (lambda_s xi)(g) = omega(g^-1, s) xi(s^-1 g)
 
-    Basis pi(b_i) lambda_s at index i*|F| + s; dimension dim(A) * |F|;
-    trace tau(pi(a) lambda_s) = tau_A(a) [s = e]."""
+    Basis pi(b_i) lambda_s at index i*|F| + s; dimension dim(A) * |F|."""
     A, F = sys.algebra, sys.group
     f, n, D = F.order, A.dim, A.rep_dim
     check_crossed_cap(n * f)
     # block row g of pi(b_i) lambda_s is alpha_{g^-1}(b_i) omega(g^-1, s), in block column s^-1 g
     ginv = F.inverse[None, None, :]
-    rows = sys.image(ginv, np.arange(n)[:, None, None]) @ A.elements(sys.omega)[ginv, np.arange(f)[:, None]]
+    rows = sys.image(ginv, np.arange(n)[:, None, None]) @ A.elements(sys.omega, sys.q)[ginv, np.arange(f)[:, None]]
     col = rows.col + D * F.table[F.inverse][..., None]  # [i, s, g, a]: row g * D + a of basis i * f + s
-    tr = np.kron(A.trace_vector, np.arange(f) == 0)
-    return StarAlgebra(col.reshape(n * f, -1), rows.val.reshape(n * f, -1), tr, label=f"{A.label} x {F.name}")
+    return StarAlgebra(col.reshape(n * f, -1), rows.num.reshape(n * f, -1), rows.q, label=f"{A.label} x {F.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +681,7 @@ def cutdown_fiber(G: FiniteGroup, N: Subgroup, num, q: int) -> StarAlgebra:
     number, reps = coset_index(G, N)  # N is central, so its left and right cosets agree
     g_rb = G.table[reps[:, None], reps]  # [a, b]: r_a r_b = z r_c
     c = number[g_rb]
-    return _translation_algebra(c, _phase(chi[G.table[g_rb, G.inverse[reps[c]]]] / q), f"C[{G.name}]@chi")
+    return _translation_algebra(c, chi[G.table[g_rb, G.inverse[reps[c]]]], q, f"C[{G.name}]@chi")
 
 
 def fiber_decomposition(G: FiniteGroup, N: Subgroup, seed: int = 0) -> list[tuple[np.ndarray, StarAlgebra]]:
@@ -740,33 +728,33 @@ def verify_imprimitivity(B: StarAlgebra, H: Subgroup, sys: TwistedSystem, seed: 
     if not np.array_equal(Hgrp.table, sys.group.table):
         raise ValueError("system group does not match the subgroup")
     number, t = coset_index(G, H)
-    m, q, nB = G.order, len(t), B.dim
-    check_crossed_cap(q * nB * m)
-    tbl, inv, g, x = G.table, G.inverse, np.arange(m)[:, None], np.arange(q)
+    m, k, nB = G.order, len(t), B.dim
+    check_crossed_cap(k * nB * m)
+    tbl, inv, g, x = G.table, G.inverse, np.arange(m)[:, None], np.arange(k)
     pos = np.zeros(m, dtype=np.int64)
     pos[emb] = np.arange(len(emb))
     # g t_x = t_{gx} kappa(g, x) with kappa(g, x) in H, indexed [g, x]
     gx = number[tbl[g, t]]
     kappa = pos[tbl[tbl[inv[t[gx]], g], t]]
     # b_i in diagonal block x, at index x * nB + i, and alpha_g(e_x (x) b_i) = e_gx (x) alpha_kappa(g,x)(b_i)
-    A = tensor_algebra(StarAlgebra(np.diag(x), np.eye(q), np.full(q, 1 / q), label=f"C^{q}"), B)
-    target = (gx[:, :, None] * nB + sys.target[kappa]).reshape(m, q * nB)
+    A = tensor_algebra(StarAlgebra(np.diag(x), np.eye(k) + EMPTY, 1, label=f"C^{k}"), B)  # 0 on the diagonal
+    target = (gx[:, :, None] * nB + sys.target[kappa]).reshape(m, k * nB)
     # omega(g1, g2) on block x: kappa(g1, y1) with y1 = g1^-1 x, kappa(g2, y2) with y2 = g2^-1 y1
     y1 = number[tbl[inv[:, None], t]]
     y2 = number[tbl[inv[None, :, None], t[y1][:, None, :]]]
     omega = sys.omega[kappa[g, y1][:, None, :], kappa[g, y2]]  # g broadcasts over the g2 axis
-    induced = TwistedSystem(A, G, target, sys.phase[kappa].reshape(m, q * nB), omega.reshape(m, m, q * nB))
+    induced = TwistedSystem(A, G, target, sys.phase[kappa].reshape(m, k * nB), omega.reshape(m, m, k * nB), sys.q)
     ambient = block_profile(crossed_product(induced), seed)
     small = block_profile(crossed_product(sys), seed)
-    expected = tuple(sorted(d * q for d in small.blocks))
+    expected = tuple(sorted(d * k for d in small.blocks))
     if ambient.blocks != expected:
         raise VerificationError(
-            f"imprimitivity mismatch: ambient {ambient.blocks}, compressed {small.blocks}, index {q}"
+            f"imprimitivity mismatch: ambient {ambient.blocks}, compressed {small.blocks}, index {k}"
         )
     return {
         "ambient_profile": list(ambient.blocks),
         "compressed_profile": list(small.blocks),
-        "index": q,
+        "index": k,
         "ambient_dim": ambient.dim,
         "compressed_dim": small.dim,
         "matches": True,
@@ -784,27 +772,38 @@ def verify_stabilization(sys: TwistedSystem, seed: int = 0) -> dict:
     (alpha_s (x) id)(v_t) (omega(s,t) (x) 1) v_{st}* is 1 when each block
     omega(s,tg)* alpha_s(omega(t,g))* omega(s,t) omega(st,g), composed in
     that order, is; then (A x_{alpha,omega} F) (x) M_|F| and (A (x) M_|F|)
-    x_beta F must have the same profile."""
+    x_beta F must have the same profile.  The blocks are checked exactly;
+    sigma_deviation reports how far their float realization is from 1."""
     A, F = sys.algebra, sys.group
-    f, n, D = F.order, A.dim, A.rep_dim
+    f, n, D, q = F.order, A.dim, A.rep_dim, sys.q
     check_crossed_cap(n * f**3)  # the crossed product of the stabilized system
-    mul, W = F.table, A.elements(sys.omega)
+    mul, W = F.table, A.elements(sys.omega, q)
     s, t, g = np.ogrid[:f, :f, :f]
-    moved = A.elements(sys.act(np.arange(f), sys.omega))  # [s, t, g]: alpha_s(omega(t, g))
-    blocks = W[s, mul[t, g]].H @ moved.H @ W[s, t] @ W[mul[s, t], g]
-    sigma_dev = float(blocks.deviation(RowMaps(np.arange(D), np.ones(D))).max())
-    if sigma_dev > TOL:
-        raise VerificationError(f"stabilization cocycle deviates from 1 by {sigma_dev:.2e}")
+    moved = A.elements(sys.act(np.arange(f), sys.omega), q)  # [s, t, g]: alpha_s(omega(t, g))
+    factors = [W[s, mul[t, g]].H, moved.H, W[s, t], W[mul[s, t], g]]
+    blocks = factors[0] @ factors[1] @ factors[2] @ factors[3]
+    _fail_first(~blocks.same(RowMaps(np.arange(D), np.zeros(D, dtype=np.int64), q)), "cocycle is not 1 at ({},{},{})")
+    # the reported float: row r of an element holds its coordinate's phase times the
+    # basis entry's, alpha_s takes its phase into the coordinates first, an adjoint
+    # conjugates, and the blocks multiply these along their rows, left to right
+    w, inv = _phase(sys.omega / q), np.argsort(sys.target, axis=1)  # alpha_s(b_inv[s, u]) ~ b_u
+    Wf = _realized(A, W, w)
+    Mf = _realized(A, moved, np.moveaxis(w[..., inv] * _phase(np.take_along_axis(sys.phase, inv, 1) / q), -2, 0))
+    entries = [Wf[s, mul[t, g]], Mf, Wf[s, t], Wf[mul[s, t], g]]
+    entries[:2] = [np.conj(np.take_along_axis(v, f.col, -1)) for v, f in zip(entries[:2], factors)]  # adjoints
+    val, col = entries[0], factors[0].col
+    for rows, v in zip(factors[1:], entries[1:]):
+        val, col = val * np.take_along_axis(v, col, -1), np.take_along_axis(rows.col, col, -1)
+    sigma_dev = float(np.abs(val - 1).max())
     # beta_s(b_i (x) E_kl) over [s, i, k, l], read off in A and placed at E_{sk, sl}
     s, i, k, l = np.ogrid[:f, :n, :f, :f]
-    images = W[s, k].H @ sys.image(s, i) @ W[s, l]
-    key, coef, resid, scale = A._monomial_coords(images.col.reshape(-1, D), images.val.reshape(-1, D))
-    if resid > TOL * scale or not np.array_equal(key // n, np.arange(f * n * f * f)):
+    found = A._coords(W[s, k].H @ sys.image(s, i) @ W[s, l])
+    if found is None or not np.array_equal(found[0] // n, np.arange(f * n * f * f)):
         raise VerificationError("stabilized action is not a phased basis permutation")
+    (key, coef), big = found, tensor_algebra(A, matrix_algebra(f))
     target = (key % n).reshape(f, n, f, f) * f * f + mul[s, k] * f + mul[s, l]
-    big = tensor_algebra(A, matrix_algebra(f))
-    unit = np.broadcast_to(big.unit_coords, (f, f, big.dim))
-    stab = TwistedSystem(big, F, target.reshape(f, -1), coef.reshape(f, -1), unit)
+    unit = np.broadcast_to(_lift(big.unit, big.q, q), (f, f, big.dim))
+    stab = TwistedSystem(big, F, target.reshape(f, -1), coef.reshape(f, -1), unit, q)
     right = block_profile(crossed_product(stab), seed)
     twisted = crossed_product(sys)
     small = block_profile(twisted, seed)

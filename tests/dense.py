@@ -1,26 +1,41 @@
 """Dense-matrix entry points for the tests: the library takes row maps and
-phased basis permutations, the tests often state a case as matrices."""
+phased basis permutations with numerators over a denominator q, the tests
+often state a case as complex matrices."""
 
 import numpy as np
 
-from twistkit.staralg import TwistedSystem
+from twistkit.staralg import EMPTY, TwistedSystem, _phase
 
 
-def monomial_rows(mats) -> tuple[np.ndarray, np.ndarray]:
-    """Row maps (col, val) of a stack (..., D, D) of matrices with at most one
-    nonzero per row: row r of mats[a] holds val[a, r] in column col[a, r]."""
+def numerators(values, q: int) -> np.ndarray:
+    """Numerators over q of complex values that are q-th roots of unity to
+    within rounding, EMPTY for a zero; any other value is refused."""
+    values = np.asarray(values, dtype=np.complex128)
+    num = np.rint(np.angle(values) / (2 * np.pi) * q).astype(np.int64) % q
+    off = np.abs(np.where(values != 0, values - _phase(num / q), 0))
+    if off.max(initial=0) > 1e-12:
+        raise ValueError(f"an entry is not a {q}-th root of unity")
+    return np.where(values != 0, num, EMPTY)
+
+
+def monomial_rows(mats, q: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row maps (col, num, q) of a stack (..., D, D) of matrices with at most
+    one nonzero per row, each a q-th root of unity: row r of mats[a] holds
+    e^(2 pi i num[a, r] / q) in column col[a, r], or nothing where num is EMPTY."""
     mats = np.asarray(mats, dtype=np.complex128)
     nonzero = mats != 0
     if nonzero.sum(axis=-1).max(initial=0) > 1:
         raise ValueError("basis is not a disjoint monomial family: a row or column holds two nonzeros")
     col = nonzero.argmax(axis=-1)
-    return col, np.take_along_axis(mats, col[..., None], axis=-1)[..., 0]
+    return col, numerators(np.take_along_axis(mats, col[..., None], axis=-1)[..., 0], q), q
 
 
-def dense_system(A, G, alpha, omega) -> TwistedSystem:
-    """A TwistedSystem from (f, n, n) coefficient matrices: column i of
-    alpha[s] holds the coordinates of alpha_s(b_i), a single nonzero."""
+def dense_system(A, G, alpha, omega, q: int) -> TwistedSystem:
+    """A TwistedSystem from (f, n, n) coefficient matrices, column i of
+    alpha[s] holding the coordinates of alpha_s(b_i), a single nonzero, and
+    (f, f, n) coordinates of omega, all q-th roots of unity or 0."""
     alpha = np.asarray(alpha, dtype=np.complex128)
     assert (np.count_nonzero(alpha, axis=1) == 1).all(), "alpha_s must send each b_i to a multiple of one b_t"
     target = np.abs(alpha).argmax(axis=1)
-    return TwistedSystem(A, G, target, np.take_along_axis(alpha, target[:, None, :], axis=1)[:, 0], omega)
+    phase = np.take_along_axis(alpha, target[:, None, :], axis=1)[:, 0]
+    return TwistedSystem(A, G, target, numerators(phase, q), numerators(omega, q), q)

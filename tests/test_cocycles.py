@@ -43,7 +43,7 @@ from twistkit.groups import (
     symmetric,
 )
 from twistkit.homology import build_chain, h2_presentation, make_splitting
-from twistkit.staralg import scalar_system, twisted_group_algebra
+from twistkit.staralg import _phase, scalar_system, twisted_group_algebra
 
 F = Fraction
 
@@ -250,7 +250,8 @@ class TestNumeratorTable:
                 for h in range(m):
                     want[g, G.mul(g, h), h] = ref[g, h]
             assert basis.tobytes() == want.tobytes()
-            assert scalar_system(G, om).omega[:, :, 0].tobytes() == ref.tobytes()
+            sys = scalar_system(G, om)
+            assert _phase(sys.omega[:, :, 0] / sys.q).tobytes() == ref.tobytes()
 
 
 class TestCoboundariesAndProducts:
@@ -578,3 +579,19 @@ class TestShippedAndJson:
                 cocycle_from_json({"group": "cyclic:2", "angles": rows})
         with pytest.raises(IdentityViolationError):
             cocycle_from_json({"group": "cyclic:2", "angles": [["0", "1/3"], ["0", "0"]]})
+
+    def test_json_angles_parsed_once(self, monkeypatch):
+        # each of the m^2 angle strings becomes one Fraction, and a bad one is named by its index
+        G, made = dihedral(4), []
+        doc = coboundary(Cochain1(G, [F(i % 4, 8) for i in range(8)])).to_json()
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cocycles, "Fraction", Counting)
+        om = cocycle_from_json(doc, group=G)
+        assert om.q == 4 and len(made) <= G.order**2
+        with pytest.raises(ValueError, match=r"angles\[1\]\[0\] is not a rational number"):
+            cocycle_from_json({"angles": [["0", "0"], ["1/0", "0"]]}, group=cyclic(2))

@@ -1,5 +1,6 @@
 """Static hygiene of the package source: no unused imports, no locals that
-are assigned and never read, and only the cocycles module imports fractions.
+are assigned and never read, only the cocycles module imports fractions,
+and staralg's float tolerances stay on its spectral block-profile path.
 
 A small ast pass stands in for a linter.  An import counts as used when
 its bound name is loaded anywhere in the module; a local counts as read
@@ -104,3 +105,41 @@ def test_checker_catches_both():
     )
     assert unused_imports(tree) == ["os (line 1)", "w (line 2)"]
     assert unread_locals(tree) == ["a in f (line 4)"]
+
+
+# the spectral block profile is the one float path of staralg: tolerances and
+# eigen- or singular-value solvers appear nowhere else in it
+FLOAT_GATES = {"TOL", "EIG_GAP", "eigh", "eigvalsh", "svd"}
+SPECTRAL = {"coords_batch", "_center_coords", "block_profile"}
+
+
+def float_gate_references(tree: ast.AST) -> list[ast.AST]:
+    """Loaded names and attributes among FLOAT_GATES under tree."""
+    return [
+        n
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in FLOAT_GATES)
+        or (isinstance(n, ast.Attribute) and n.attr in FLOAT_GATES)
+    ]
+
+
+def stray_float_gates(tree: ast.Module) -> list[str]:
+    allowed = {
+        id(n)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in SPECTRAL
+        for n in float_gate_references(fn)
+    }
+    stray = [n for n in float_gate_references(tree) if id(n) not in allowed]
+    stray.sort(key=lambda n: (n.lineno, n.col_offset))
+    return [f"{getattr(n, 'id', getattr(n, 'attr', ''))} (line {n.lineno})" for n in stray]
+
+
+def test_tolerances_only_on_the_spectral_path():
+    probe = ast.parse(
+        "TOL = 1\n"
+        "def block_profile():\n    return np.linalg.eigh(TOL)\n"
+        "def _check_closure():\n    return np.linalg.eigvalsh(x) > TOL\n"
+    )
+    assert stray_float_gates(probe) == ["eigvalsh (line 5)", "TOL (line 5)"]
+    assert stray_float_gates(ast.parse((SRC / "staralg.py").read_text(encoding="utf-8"))) == []
