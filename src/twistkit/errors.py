@@ -31,7 +31,8 @@ class ResourceCapError(TwistkitError):
 
 
 class DecompositionUnstableError(TwistkitError):
-    """Numerical block decomposition failed to separate eigenvalues after all retries."""
+    """The k x k split of an algebra's center gave no integer-certified block
+    dimensions after all retries."""
 
 
 class IndeterminateHirschError(TwistkitError):

@@ -19,22 +19,23 @@ of integers:
   meets whole, at one numerator difference (the structure constant).
   Closure and adjoints are checked for every pair;
 - the trace is the normalized matrix trace, so it is positive;
-- the center is the null space of (2n, n) commutator coordinates;
+- the center is spanned by phased class sums, found by union-find over
+  the basis on the structure constants;
 - twisted systems (phased basis permutations, monomial unitary cocycles)
   are checked, crossed, induced and stabilized by composing RowMaps.
 
 Everything downstream reduces to one primitive: the block profile, the
-multiset of simple block dimensions {d_1 <= ... <= d_k} obtained by
-spectrally splitting a random self-adjoint central element.  Twisted group
+multiset of simple block dimensions {d_1 <= ... <= d_k}, one per primitive
+central idempotent, read from the exact center.  Twisted group
 algebras, crossed products by twisted actions, fibers over central
 characters, induction over a subgroup, and stabilization are all built on
 top and cross-checked against each other by comparing profiles, which are
 a complete invariant of finite-dimensional semisimple algebras.
 
-Floats appear only as the realization _phase(num / q): in the spectral block
-profile, whose integers (ranks, block sizes) are asserted to be consistent
-(sum of d_i^2 = dim) before anything is returned, and in verify_stabilization's
-reported deviation.
+Floats appear only as the realization _phase(num / q): in the block profile,
+which splits the k-dimensional center by a k x k eigendecomposition and
+certifies its integers (each d_i^2 a positive square, their sum dim) before
+anything is returned, and in verify_stabilization's reported deviation.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .cocycles import trivial_cocycle
 from .errors import DecompositionUnstableError, InvalidGroupError, ResourceCapError, VerificationError
 from .groups import FiniteGroup, Subgroup, coset_index, quotient, subgroup_as_group
 
-TOL = 1e-8
-EIG_GAP = 1e-6
 MAX_RETRIES = 8
 CROSSED_CAP = 4096
 # m^3 composed entries in the closure check and m^3 cocycle triples; about 3 s at m = 256
@@ -59,7 +58,7 @@ TWIST_CAP = 2**24
 # the numerator of an empty row, and of a zero coordinate
 EMPTY = -1
 
-# index compositions and commutator scatters run in chunks of about this many
+# index compositions run in chunks of about this many
 # entries, so that each chunk's index and value arrays are a few hundred KB
 _CHUNK = 1 << 16
 
@@ -86,7 +85,9 @@ def _lift(num: np.ndarray, q: int, to: int) -> np.ndarray:
 def _add(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """a + b mod q for numerators in [0, q) below 2**52; EMPTY where either is."""
     total = a + b
-    return np.where((a | b) < 0, EMPTY, total - q * (total >= q))
+    np.subtract(total, q, out=total, where=total >= q)
+    np.copyto(total, EMPTY, where=(a | b) < 0)
+    return total
 
 
 def _checked(num, q: int, empty: bool) -> np.ndarray:
@@ -159,10 +160,19 @@ class StarAlgebra:
     num[i, r] / q) in column col[i, r], or nothing where num[i, r] = EMPTY.
     The b_i must form a disjoint monomial family spanning a subalgebra of M_D
     closed under adjoint; construction checks every pair and keeps the
-    structure constants: b_i b_j has coefficient e^(2 pi i coef / q) at b_t
-    for each entry of structure = (pair, t, coef) with pair = i * n + j, b_i*
-    has one at b_t for each entry of adjoints = (i * n + t, coef), both sorted
-    by key.  unit holds the identity's coordinates, EMPTY off them, or None.
+    structure constants: b_i b_j = e^(2 pi i coef / q) b_t for each entry of
+    structure = (pair, t, coef) with pair = i * n + j, b_i* has coefficient
+    e^(2 pi i coef / q) at b_t for each entry of adjoints = (i * n + t, coef),
+    both sorted by key.  unit holds the identity's coordinates, EMPTY off
+    them, or None.
+
+    structure has one entry per composable pair: a nonzero product covers
+    exactly one basis matrix.  b_i b_i* lies in the span and is diagonal, so it
+    is a multiple of one basis projection r(i); were it split over two, r_1 b_i
+    would cover part of supp(b_i), which closure forbids.  A nonzero b_i b_j so
+    needs d(i) = r(j), where d(i) is the basis projection of b_i* b_i, and its
+    rows are exactly those of b_i; any b_s it covers has r(s) = r(i), so b_s
+    alone fills every row.
     """
 
     def __init__(self, col, num, q: int, label: str = ""):
@@ -201,7 +211,7 @@ class StarAlgebra:
 
     @cached_property
     def _val(self) -> np.ndarray:
-        """The entries over the supports as floats, for the spectral block profile."""
+        """The entries over the supports as floats, for the trace and the dense basis."""
         return _phase(self._num / self.q)
 
     @property
@@ -229,28 +239,6 @@ class StarAlgebra:
 
     # -- coordinates -------------------------------------------------------
 
-    def element(self, coords) -> np.ndarray:
-        """sum_i c_i b_i; a stack (..., n) of coordinates gives (..., D, D)."""
-        c = np.asarray(coords, dtype=np.complex128)
-        out = np.zeros((*c.shape[:-1], self.rep_dim**2), dtype=np.complex128)
-        out[..., self._pos] = c[..., self._owner_of] * self._val
-        return out.reshape(*c.shape[:-1], self.rep_dim, self.rep_dim)
-
-    def coords_batch(self, mats: np.ndarray, tol: float = TOL) -> np.ndarray:
-        """Coordinates of a stack (k, D, D); raises if any falls off the span."""
-        flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
-        if not len(flat):
-            return np.zeros((0, self.dim), dtype=np.complex128)
-        weight = np.conj(self._val) / self._size[self._owner_of]
-        coords = np.add.reduceat(flat[:, self._pos] * weight, self._start, axis=1)
-        diff = flat.copy()
-        diff[:, self._pos] -= coords[:, self._owner_of] * self._val
-        resid = float(np.abs(diff).max())
-        scale = max(1.0, float(np.abs(flat).max()))
-        if resid > tol * scale:
-            raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
-        return coords
-
     def elements(self, coords, q: int) -> RowMaps:
         """Row maps over q, a multiple of self.q, of sum_i c_i b_i for a stack
         (..., n) of numerators c_i over q (EMPTY for 0); each must be monomial."""
@@ -264,28 +252,6 @@ class StarAlgebra:
         out.col.reshape(-1, D)[a, row] = col  # views of the fresh arrays
         out.num.reshape(-1, D)[a, row] = _add(flat[a, self._owner_of[e]], _lift(self._num[e], self.q, q), q)
         return out
-
-    def multiplier_trace(self, p: np.ndarray) -> complex:
-        """Trace of the map x -> p x on the algebra, for p in the algebra.
-
-        Where b_i has the entry (r, c), the entry of p b_i is p[r, r] b_i[r, c],
-        so coords_i(p b_i) is the mean of p's diagonal over the rows of b_i."""
-        weight = np.bincount(self._pos // self.rep_dim, 1 / self._size[self._owner_of], self.rep_dim)
-        return complex(np.diagonal(p) @ weight)
-
-    def commutators(self, z) -> np.ndarray:
-        """Coordinates of [b_i, z] for every i, from the structure constants:
-        z of shape (n,) or (n, m) gives an (n, n, m) array indexed [t, i, :]."""
-        n = self.dim
-        z = np.asarray(z, dtype=np.complex128).reshape(n, -1)
-        m = z.shape[1]
-        pair, t, coef = self.structure
-        coef = _phase(coef / self.q)
-        i, j = np.divmod(pair, n)
-        keys = np.concatenate([t * n + i, t * n + j])  # b_i b_j is in [b_i, z] and in [b_j, z]
-        weights = np.concatenate([coef[:, None] * z[j], -coef[:, None] * z[i]])
-        flat_keys = (keys[:, None] * m + np.arange(m)).ravel()
-        return _bincount_complex(flat_keys, weights.ravel(), n * n * m).reshape(n, n, m)
 
     # -- validation --------------------------------------------------------
 
@@ -399,9 +365,6 @@ class BlockProfile:
         if sum(d * d for d in self.blocks) != self.dim:
             raise ValueError("block dimensions do not square-sum to the algebra dimension")
 
-    def scaled(self, k: int) -> "BlockProfile":
-        return BlockProfile(tuple(d * k for d in self.blocks), self.dim * k * k, self.seed)
-
     def to_json(self) -> dict:
         return {"blocks": [int(d) for d in self.blocks], "dim": int(self.dim), "seed": int(self.seed)}
 
@@ -410,80 +373,102 @@ class _Unstable(Exception):
     pass
 
 
-def _random_self_adjoint(A: StarAlgebra, span: np.ndarray, rng) -> np.ndarray:
-    k = span.shape[1]
-    c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    M = A.element(span @ c)
-    return M + M.conj().T
+def _components(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Union-find over range(n) with potentials mod q along the links pot[v] =
+    pot[u] + w: root[x] is the least index of x's component and pot[x] is
+    relative to it.  Each round points every index at its root by pointer
+    jumping, then hooks each root that a link joins to a smaller root onto the
+    least of those, so roots only decrease and the hooks form no cycle."""
+    root, pot = np.arange(n), np.zeros(n, dtype=np.int64)
+    while True:
+        while (root[root] != root).any():
+            root, pot = root[root], (pot + pot[root]) % q
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            return root, pot
+        u, v, w, ru, rv = u[cross], v[cross], w[cross], ru[cross], rv[cross]
+        step = (pot[u] + w - pot[v]) % q  # pot[rv] - pot[ru]
+        up = rv > ru
+        hi, lo, off = np.where(up, rv, ru), np.where(up, ru, rv), np.where(up, step, -step % q)
+        order = np.lexsort((lo, hi))
+        first = order[np.unique(hi[order], return_index=True)[1]]
+        root[hi[first]], pot[hi[first]] = lo[first], off[first]
 
 
-def _center_coords(A: StarAlgebra, rng) -> np.ndarray:
-    """Coordinate basis of the center, found as the joint commutant of two
-    random self-adjoint elements and then verified against every basis
-    element (the joint commutant can only be too big, never too small)."""
-    full = np.eye(A.dim, dtype=np.complex128)
-    a, b = A.coords_batch(np.stack([_random_self_adjoint(A, full, rng), _random_self_adjoint(A, full, rng)]))
-    # want c with sum_i c_i [b_i, a] = sum_i c_i [b_i, b] = 0, in coordinates: the
-    # stacked (2n, n) matrix has at least n rows, so the economy Vh spans all of C^n
-    stacked = np.vstack([A.commutators(a)[..., 0], A.commutators(b)[..., 0]])
-    s, Vh = np.linalg.svd(stacked, full_matrices=False)[1:]
-    if s.size == 0 or s[0] < 1e-12:
-        Z = full
-    else:
-        rank = int(np.sum(s > s[0] * 1e-9))
-        Z = Vh[rank:].conj().T  # (n, k)
-    if Z.shape[1] == 0:
-        raise _Unstable("empty commutant, degenerate draw")
-    # verify: every candidate center element commutes with the whole basis; the
-    # supports are disjoint and the entries unimodular, so the largest entry of
-    # sum_t c_t b_t is max |c_t|
-    scale = max(1.0, float(np.abs(Z).max()))
-    cols = max(1, _CHUNK // (A.dim * A.dim))
-    for k0 in range(0, Z.shape[1], cols):
-        comm = A.commutators(Z[:, k0 : k0 + cols])  # (t, i, k)
-        if np.abs(comm).max() > TOL * scale:
-            raise _Unstable("joint commutant exceeds the center")
-    return Z
+def _center(A: StarAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The center of A, exactly, as phased class sums: (comp, pot) such that
+    the z_C = sum of e^(2 pi i pot[t] / q) b_t over comp[t] = C, for C in
+    range(k), are a basis of it; comp is -1 off these k components.
+
+    For z = sum_t c_t b_t, the coefficient of b_s in b_i z = z b_i equates
+    c_t e(a) with c_t' e(b) where b_i b_t = e(a) b_s and b_t' b_i = e(b) b_s,
+    or reads c_t = 0 (or c_t' = 0) when only one side reaches b_s; as no two
+    basis matrices share a position, at most one t and one t' reach it.  The
+    links join the basis into components, and one carries a central element
+    exactly when no member is forced to 0 and every cycle closes with phase 1."""
+    n, q = A.dim, A.q
+    pair, s, coef = A.structure
+    x, y = np.divmod(pair, n)
+    # b_x b_y = e(coef) b_s is the term of c_y in b_x z at key (x, s), and of c_x in z b_y at key (y, s)
+    left, right = x * n + s, y * n + s
+    order = np.argsort(right)
+    at = order[np.searchsorted(right, left, sorter=order).clip(max=len(right) - 1)]
+    linked = right[at] == left
+    u, v, w = y[linked], x[at[linked]], (coef[linked] - coef[at[linked]]) % q
+    root, pot = _components(n, u, v, w, q)
+    reached = np.zeros(len(right), dtype=bool)
+    reached[at[linked]] = True
+    broken = (pot[u] + w - pot[v]) % q != 0
+    bad = np.zeros(n, dtype=bool)
+    bad[root[np.concatenate([y[~linked], x[~reached], u[broken]])]] = True
+    lead = (root == np.arange(n)) & ~bad
+    return np.where(lead[root], np.cumsum(lead)[root] - 1, -1), pot
 
 
 def block_profile(A: StarAlgebra, seed: int = 0) -> BlockProfile:
-    """Simple block dimensions via a random self-adjoint central element.
+    """Simple block dimensions, from the exact center.
 
-    The eigenvalue clusters of that element (separation threshold EIG_GAP)
-    must number exactly dim(center); each spectral projector p must lie in
-    the algebra and acts on it with integer rank d^2, recovered as the
-    trace of x -> p x.  Collisions or rank drift trigger a retry with fresh
-    randomness, and MAX_RETRIES failures raise DecompositionUnstableError.
+    The class sums z_C of _center multiply as z_C z_D = sum_E g[C, D, E] z_E.
+    The primitive central idempotents e_i are the eigenvectors of
+    multiplication by a random real z = sum_C r_C z_C, in these k
+    coordinates.  An eigenvector v = c e_i has c = Tr_Z(L_v), the trace of
+    multiplication by v on the center, and Tr_A(L_v) = c d_i^2 on A, so
+    d_i^2 = Tr_A(L_v) / Tr_Z(L_v).  Each of the k ratios must lie within 1e-6
+    of a positive square, and they must sum to dim A; otherwise a fresh z is
+    drawn, and MAX_RETRIES failures raise DecompositionUnstableError.
     """
-    n = A.dim
+    n, q = A.dim, A.q
+    comp, pot = _center(A)
+    k = int(comp.max()) + 1
+    pair, s, coef = A.structure
+    t, u = np.divmod(pair, n)
+    # z_C z_D holds g[C, D, E] e(pot[s]) at each b_s of z_E, so g is the mean over E's members
+    on = (comp[t] >= 0) & (comp[u] >= 0) & (comp[s] >= 0)
+    C, D, E = comp[t[on]], comp[u[on]], comp[s[on]]
+    size = np.bincount(comp[comp >= 0], minlength=k)
+    g = _phase((pot[t[on]] + pot[u[on]] + coef[on] - pot[s[on]]) % q / q) / size[E]
+    # the traces of multiplication by z_C on the center, and on A, where each b_t b_j = e(a) b_j adds e(a)
+    on_center = _bincount_complex(C[D == E], g[D == E], k)
+    diag = (u == s) & (comp[t] >= 0)
+    on_algebra = _bincount_complex(comp[t[diag]], _phase((pot[t[diag]] + coef[diag]) % q / q), k)
     rng = np.random.default_rng(seed)
     last = "no attempts ran"
     for _ in range(MAX_RETRIES):
         try:
-            Z = _center_coords(A, rng)
-            k = Z.shape[1]
-            C = _random_self_adjoint(A, Z, rng)
-            w, V = np.linalg.eigh(C)
-            splits = np.nonzero(np.diff(w) > EIG_GAP)[0]
-            bounds = [0, *(int(s) + 1 for s in splits), len(w)]
-            if len(bounds) - 1 != k:
-                raise _Unstable(f"{len(bounds) - 1} eigenvalue clusters for a {k}-dim center")
-            dims = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                P = V[:, lo:hi] @ V[:, lo:hi].conj().T
-                A.coords_batch(P[None])  # raises if the projector is not in the algebra
-                tr = A.multiplier_trace(P)
-                rank = int(round(tr.real))
-                if abs(tr - rank) > 1e-6:
-                    raise _Unstable(f"non-integer idempotent trace {tr:.4f}")
-                d = isqrt(rank)
-                if d * d != rank or rank == 0:
-                    raise _Unstable(f"block rank {rank} is not a positive square")
-                dims.append(d)
-            if sum(d * d for d in dims) != n:
+            r = rng.standard_normal(k)
+            V = np.linalg.eig(_bincount_complex(E * k + D, r[C] * g, k * k).reshape(k, k))[1]
+            square = (on_algebra @ V) / (on_center @ V)
+            near = np.rint(square.real)
+            if not np.abs(square - near).max(initial=0.0) <= 1e-6:  # a NaN fails too
+                raise _Unstable("a block rank is not an integer")
+            ranks = near.astype(np.int64).tolist()
+            if any(rank < 1 or isqrt(rank) ** 2 != rank for rank in ranks):
+                raise _Unstable("a block rank is not a positive square")
+            if sum(ranks) != n:
                 raise _Unstable("block ranks do not sum to the dimension")
-            return BlockProfile(tuple(sorted(dims)), n, seed)
-        except (_Unstable, ValueError) as exc:
+            return BlockProfile(tuple(sorted(isqrt(rank) for rank in ranks)), n, seed)
+        except (_Unstable, np.linalg.LinAlgError) as exc:
             last = str(exc)
     raise DecompositionUnstableError(f"block decomposition failed after {MAX_RETRIES} attempts: {last}")
 

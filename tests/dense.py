@@ -30,6 +30,31 @@ def monomial_rows(mats, q: int) -> tuple[np.ndarray, np.ndarray, int]:
     return col, numerators(np.take_along_axis(mats, col[..., None], axis=-1)[..., 0], q), q
 
 
+def element(A, coords) -> np.ndarray:
+    """sum_i c_i b_i in a StarAlgebra A; a stack (..., n) of coordinates gives (..., D, D)."""
+    c = np.asarray(coords, dtype=np.complex128)
+    out = np.zeros((*c.shape[:-1], A.rep_dim**2), dtype=np.complex128)
+    out[..., A._pos] = c[..., A._owner_of] * A._val
+    return out.reshape(*c.shape[:-1], A.rep_dim, A.rep_dim)
+
+
+def coords_batch(A, mats: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Coordinates in a StarAlgebra A of a stack (k, D, D), a gather over the
+    supports; raises if any matrix falls off the span by more than tol."""
+    flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
+    if not len(flat):
+        return np.zeros((0, A.dim), dtype=np.complex128)
+    weight = np.conj(A._val) / A._size[A._owner_of]
+    coords = np.add.reduceat(flat[:, A._pos] * weight, A._start, axis=1)
+    diff = flat.copy()
+    diff[:, A._pos] -= coords[:, A._owner_of] * A._val
+    resid = float(np.abs(diff).max())
+    scale = max(1.0, float(np.abs(flat).max()))
+    if resid > tol * scale:
+        raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
+    return coords
+
+
 def dense_system(A, G, alpha, omega, q: int) -> TwistedSystem:
     """A TwistedSystem from (f, n, n) coefficient matrices, column i of
     alpha[s] holding the coordinates of alpha_s(b_i), a single nonzero, and

@@ -107,10 +107,10 @@ def test_checker_catches_both():
     assert unread_locals(tree) == ["a in f (line 4)"]
 
 
-# the spectral block profile is the one float path of staralg: tolerances and
-# eigen- or singular-value solvers appear nowhere else in it
-FLOAT_GATES = {"TOL", "EIG_GAP", "eigh", "eigvalsh", "svd"}
-SPECTRAL = {"coords_batch", "_center_coords", "block_profile"}
+# the k x k split of the center in block_profile is the one float solver of
+# staralg: tolerances and eigen- or singular-value solvers appear nowhere else in it
+FLOAT_GATES = {"TOL", "EIG_GAP", "eig", "eigh", "eigvals", "eigvalsh", "svd"}
+SPECTRAL = {"block_profile"}
 
 
 def float_gate_references(tree: ast.AST) -> list[ast.AST]:
@@ -140,6 +140,7 @@ def test_tolerances_only_on_the_spectral_path():
         "TOL = 1\n"
         "def block_profile():\n    return np.linalg.eigh(TOL)\n"
         "def _check_closure():\n    return np.linalg.eigvalsh(x) > TOL\n"
+        "def _center():\n    return np.linalg.eig(x)\n"
     )
-    assert stray_float_gates(probe) == ["eigvalsh (line 5)", "TOL (line 5)"]
+    assert stray_float_gates(probe) == ["eigvalsh (line 5)", "TOL (line 5)", "eig (line 7)"]
     assert stray_float_gates(ast.parse((SRC / "staralg.py").read_text(encoding="utf-8"))) == []

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense import dense_system, monomial_rows
+from dense import coords_batch, dense_system, element, monomial_rows
 from instances import imprimitivity_instance, random_coboundary, small_groups, stabilization_instance
-from oracles import character_degrees, conjugacy_class_count, omega_regular_class_count
+from oracles import character_degrees, conjugacy_class_count, corpus_with_h2, omega_regular_class_count, relabeled
 
 from twistkit.cocycles import (
     Cochain1,
@@ -95,6 +95,12 @@ class TestStarAlgebra:
         b[2, 1, 0] = 1
         with pytest.raises(ValueError, match="outside the algebra span"):
             StarAlgebra(*monomial_rows(b, 1))
+        # in an accepted family a product covers at most one basis matrix, so the
+        # structure constants hold one entry per composable pair
+        systems = [imprimitivity_instance(seed)[2] for seed in range(12)]
+        systems += [stabilization_instance(seed) for seed in range(25)]
+        for A in [alg for sys in systems for alg in (sys.algebra, crossed_product(sys))]:
+            assert (np.diff(A.structure[0]) > 0).all(), A.label
 
     def test_one_escaping_pair_found_in_large_family(self):
         # the matrix units of M_14 on the first 14 coordinates and X = E_{14,15} + E_{15,14}:
@@ -157,10 +163,10 @@ class TestStarAlgebra:
     def test_coords_round_trip_and_escape(self):
         A = matrix_algebra(2)
         M = np.array([[1, 2j], [0, -1]], dtype=complex)
-        assert np.abs(A.element(A.coords_batch(M[None])[0]) - M).max() < 1e-12
+        assert np.abs(element(A, coords_batch(A, M[None])[0]) - M).max() < 1e-12
         diag = StarAlgebra(*monomial_rows(np.stack([np.diag([1.0 + 0j, 0]), np.diag([0, 1.0 + 0j])]), 1))
         with pytest.raises(ValueError):
-            diag.coords_batch(np.array([[[0, 1], [0, 0]]], dtype=complex))
+            coords_batch(diag, np.array([[[0, 1], [0, 0]]], dtype=complex))
 
     def test_row_maps_match_dense_matrices(self):
         # two stacks of 12th roots of unity with empty rows: composition, adjoint and
@@ -198,6 +204,12 @@ class TestStarAlgebra:
 class TestBlockProfile:
     def test_full_matrix_algebra(self):
         assert block_profile(matrix_algebra(3)).blocks == (3,)
+        # C + M_2 in the corner of the 6 x 6 matrices: its unit is not the identity
+        b = np.zeros((5, 6, 6), dtype=complex)
+        b[0, 0, 0] = 1
+        b[1:, 1:3, 1:3] = matrix_algebra(2).basis
+        A = StarAlgebra(*monomial_rows(b, 1))
+        assert A.unit is None and block_profile(A).blocks == (1, 2)
 
     def test_commutative_diagonal(self):
         basis = np.stack([np.diag([1.0 + 0j if i == j else 0 for j in range(4)]) for i in range(4)])
@@ -205,7 +217,8 @@ class TestBlockProfile:
         assert block_profile(A).blocks == (1, 1, 1, 1)
 
     def test_group_algebras_match_degree_oracle(self):
-        for G in [symmetric(3), quaternion8(), dihedral(4), klein(), cyclic(6)]:
+        # every group of the oracle corpus, and a relabeled copy of each
+        for G in [H for G, _ in corpus_with_h2() for H in (G, relabeled(G, 1))]:
             prof = block_profile(twisted_group_algebra(G, trivial_cocycle(G)))
             assert prof.blocks == character_degrees(G), G.name
 
@@ -219,9 +232,7 @@ class TestBlockProfile:
             BlockProfile((2, 1), 5, 0)
         with pytest.raises(ValueError):
             BlockProfile((1, 2), 4, 0)
-        p = BlockProfile((1, 2), 5, 3)
-        assert p.scaled(2).blocks == (2, 4) and p.scaled(2).dim == 20
-        assert p.to_json() == {"blocks": [1, 2], "dim": 5, "seed": 3}
+        assert BlockProfile((1, 2), 5, 3).to_json() == {"blocks": [1, 2], "dim": 5, "seed": 3}
 
 
 class TestTwistedGroupAlgebra:
