@@ -39,7 +39,7 @@ from .groups import (
     resolve_group_string,
     subgroup_as_group,
 )
-from .homology import h1, h2
+from .homology import _check_order, h1, h2
 from .staralg import (
     block_profile,
     check_crossed_cap,
@@ -128,18 +128,21 @@ def load_descriptor(spec: str) -> dsc.GroupDescriptor:
 
 
 def _cmd_h2(args):
+    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     inv = h2(G)
     return {"h2": inv.to_json()}, [f"group {G.name} of order {G.order}: H2 = {inv}"]
 
 
 def _cmd_h1(args):
+    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     inv = h1(G)
     return {"h1": inv.to_json()}, [f"group {G.name} of order {G.order}: H1 = {inv}"]
 
 
 def _cmd_extend(args):
+    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     ext = sample_extension(G, seed=args.seed)
     doc = {
@@ -157,6 +160,7 @@ def _cmd_extend(args):
 
 
 def _cmd_classify(args):
+    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     check_classify_cap(h2(G).order() * G.order)  # before the exact extension work
     ext = sample_extension(G, seed=args.seed)
@@ -179,6 +183,7 @@ def _cmd_twist(args):
 
 
 def _cmd_fibers(args):
+    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     ext = sample_extension(G, seed=args.seed)
     rep = extension_report(ext, seed=args.seed)

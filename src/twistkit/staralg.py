@@ -17,7 +17,10 @@ of integers:
 - the product of two basis matrices composes their row maps, adding
   numerators mod q; it lies in the span when it covers every support it
   meets whole, at one numerator difference (the structure constant).
-  Closure and adjoints are checked for every pair;
+  Closure is checked exhaustively on the composable pairs, those where
+  the column set of b_i is the row set of b_j, over the rows of b_i: once
+  the row and column sets are certified pairwise equal or disjoint, every
+  other product is 0.  Adjoints are checked for every basis matrix;
 - the trace is the normalized matrix trace, so it is positive;
 - the center is spanned by phased class sums, found by union-find over
   the basis on the structure constants;
@@ -53,13 +56,15 @@ from .groups import FiniteGroup, Subgroup, coset_index, quotient, subgroup_as_gr
 
 MAX_RETRIES = 8
 CROSSED_CAP = 4096
-# m^3 composed entries in the closure check and m^3 cocycle triples; about 3 s at m = 256
+# m^3 composed entries in the closure check (every pair of a group algebra composes, over
+# every row) and m^3 cocycle triples; about 0.8 s for both at m = 256 on 2 vCPUs
 TWIST_CAP = 2**24
 # the numerator of an empty row, and of a zero coordinate
 EMPTY = -1
 
-# index compositions run in chunks of about this many
-# entries, so that each chunk's index and value arrays are a few hundred KB
+# index compositions run in chunks of about this many entries, so that each chunk's
+# index and value arrays are a few hundred KB; the closure check takes a chunk of left
+# factors at a time, one left factor when its composable pairs alone hold more
 _CHUNK = 1 << 16
 
 
@@ -159,7 +164,8 @@ class StarAlgebra:
     col, num: (n, D) arrays; row r of basis matrix b_i holds e^(2 pi i
     num[i, r] / q) in column col[i, r], or nothing where num[i, r] = EMPTY.
     The b_i must form a disjoint monomial family spanning a subalgebra of M_D
-    closed under adjoint; construction checks every pair and keeps the
+    closed under adjoint; construction checks every product and adjoint,
+    composing only the pairs whose product can be nonzero, and keeps the
     structure constants: b_i b_j = e^(2 pi i coef / q) b_t for each entry of
     structure = (pair, t, coef) with pair = i * n + j, b_i* has coefficient
     e^(2 pi i coef / q) at b_t for each entry of adjoints = (i * n + t, coef),
@@ -172,7 +178,10 @@ class StarAlgebra:
     would cover part of supp(b_i), which closure forbids.  A nonzero b_i b_j so
     needs d(i) = r(j), where d(i) is the basis projection of b_i* b_i, and its
     rows are exactly those of b_i; any b_s it covers has r(s) = r(i), so b_s
-    alone fills every row.
+    alone fills every row.  The row and column sets of the b_i are so the
+    supports of the basis projections r(i) and d(i): any two are equal or
+    disjoint, and b_i b_j is nonzero exactly when colset(i) = rowset(j).
+    Closure certifies the first and then composes only these pairs.
     """
 
     def __init__(self, col, num, q: int, label: str = ""):
@@ -273,19 +282,44 @@ class StarAlgebra:
         return key, coef
 
     def _check_closure(self):
-        """Every product b_i b_j and every adjoint lies in the span.  Products
-        compose row maps, a chunk of left factors at a time."""
-        n, D = self.dim, self.rep_dim
-        rows = max(1, _CHUNK // (n * D))
-        right = np.arange(n)[None, :, None] * D
+        """Every product b_i b_j and every adjoint lies in the span.
+
+        Two distinct row or column sets that overlap leave the span (see the
+        class docstring).  Once none do, b_i b_j is 0 unless colset(i) =
+        rowset(j), and then it has the rows of b_i; it lies in the span
+        exactly when every entry falls on one b_t at one numerator difference
+        and size(t) = size(i).  Only these composable pairs are composed, over
+        the rows of their left factors, a chunk of left factors at a time."""
+        n, D, q = self.dim, self.rep_dim, self.q
+        row, col = np.divmod(self._pos, D)  # the entries of each b_i, grouped by owner
+        sets = np.zeros((2 * n, D), dtype=bool)  # row sets, then column sets
+        sets[self._owner_of, row] = sets[n + self._owner_of, col] = True
+        packed = np.packbits(sets, axis=1)  # each set as bytes, numbered by one np.unique
+        _, first, kind = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
+        if sets[first].sum(axis=0).max() > 1:
+            raise ValueError("matrix outside the algebra span")
+        # the right factors of b_i are the j with rowset(j) = colset(i), ascending
+        members = np.argsort(kind[:n], kind="stable")  # grouped by row set
+        count = np.bincount(kind[:n], minlength=len(first))
+        begin, npairs = (np.cumsum(count) - count)[kind[n:]], count[kind[n:]]
+        load = np.cumsum(npairs * self._size)  # entries composed up to each left factor
+        owner = self._owner.ravel()
         tables = []
-        for i0 in range(0, n, rows):
-            mid = right + self.col[i0 : i0 + rows, None, :]  # row r of b_i lands in row col[i, r] of b_j
-            num = _add(self.num[i0 : i0 + rows, None, :], np.take(self.num, mid), self.q)
-            found = self._coords(RowMaps(np.take(self.col, mid), num, self.q))
-            if found is None:
+        for rows in np.split(np.arange(n), np.flatnonzero(np.diff(load // _CHUNK)) + 1):
+            i, j = np.repeat(rows, npairs[rows]), members[_ranges(begin[rows], npairs[rows])]
+            w = self._size[i]  # a pair's product has the rows of b_i
+            at = np.cumsum(w) - w  # where each pair's entries begin
+            e = _ranges(self._start[i], w)
+            r, mid = row[e], np.repeat(j * D, w) + col[e]  # row r of b_i lands in row col[i, r] of b_j
+            t = np.take(owner, r * D + np.take(self.col, mid))
+            diff = self._num[e] + np.take(self.num, mid) - np.take(self.num, t * D + r)  # in (-q, 2q)
+            np.add(diff, q, out=diff, where=diff < 0)
+            np.subtract(diff, q, out=diff, where=diff >= q)
+            t0, d0 = t[at], diff[at]  # each entry must match its pair's first, and cover b_t0 whole
+            same = (t == np.repeat(t0, w)) & (diff == np.repeat(d0, w))
+            if (t < 0).any() or not same.all() or (self._size[t0] != w).any():
                 raise ValueError("matrix outside the algebra span")
-            tables.append((i0 * n + found[0] // n, found[0] % n, found[1]))
+            tables.append((i * n + j, t0, d0))
         self.structure = tuple(np.concatenate(part) for part in zip(*tables))
         self.adjoints = self._coords(RowMaps(self.col, self.num, self.q).H)
         if self.adjoints is None:
@@ -549,6 +583,11 @@ class TwistedSystem:
                 raise VerificationError(f"alpha({S[s]}) {fault[s]}")
 
 
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The ranges range(s, s + l) for each s, l of two index arrays, concatenated."""
+    return np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
+
+
 def _chunks(f: int, entries: int):
     """Index arrays covering range(f), of about _CHUNK entries at so many per index."""
     step = max(1, _CHUNK // max(1, entries))
@@ -605,6 +644,7 @@ def system_from_normal(G: FiniteGroup, N: Subgroup, sigma: Cocycle2 | None = Non
         raise InvalidGroupError("subgroup belongs to a different group")
     if not N.is_normal():
         raise InvalidGroupError("subgroup is not normal")
+    check_twist_cap(N.order)  # the coefficient algebra C[N], before it is built
     if sigma is None:
         sigma = trivial_cocycle(G)
     if not np.array_equal(sigma.group.table, G.table):

@@ -1,10 +1,11 @@
 """Dense-matrix entry points for the tests: the library takes row maps and
 phased basis permutations with numerators over a denominator q, the tests
-often state a case as complex matrices."""
+often state a case as complex matrices.  Also the exhaustive all-pairs
+closure, a reference for StarAlgebra's composable-pair closure."""
 
 import numpy as np
 
-from twistkit.staralg import EMPTY, TwistedSystem, _phase
+from twistkit.staralg import _CHUNK, EMPTY, RowMaps, StarAlgebra, TwistedSystem, _add, _phase
 
 
 def numerators(values, q: int) -> np.ndarray:
@@ -53,6 +54,32 @@ def coords_batch(A, mats: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     if resid > tol * scale:
         raise ValueError(f"matrix outside the algebra span (residual {resid:.2e})")
     return coords
+
+
+def all_pairs_closure(col, num, q: int):
+    """(structure, adjoints) of the row maps (col, num) over q as StarAlgebra
+    would keep them, by the all-pairs composition: every b_i b_j over all D
+    rows, a chunk of left factors at a time, each read off by _coords.
+    Raises ValueError where a product or an adjoint leaves the span."""
+    A = object.__new__(StarAlgebra)  # the supports indexed, the closure not checked
+    A.col, A.num, A.q = np.asarray(col, dtype=np.int64), np.asarray(num, dtype=np.int64), int(q)
+    A.dim, A.rep_dim = A.num.shape
+    A._index_supports()
+    n, D = A.dim, A.rep_dim
+    rows = max(1, _CHUNK // (n * D))
+    right = np.arange(n)[None, :, None] * D
+    tables = []
+    for i0 in range(0, n, rows):
+        mid = right + A.col[i0 : i0 + rows, None, :]  # row r of b_i lands in row col[i, r] of b_j
+        num = _add(A.num[i0 : i0 + rows, None, :], np.take(A.num, mid), A.q)
+        found = A._coords(RowMaps(np.take(A.col, mid), num, A.q))
+        if found is None:
+            raise ValueError("matrix outside the algebra span")
+        tables.append((i0 * n + found[0] // n, found[0] % n, found[1]))
+    adjoints = A._coords(RowMaps(A.col, A.num, A.q).H)
+    if adjoints is None:
+        raise ValueError("matrix outside the algebra span")
+    return tuple(np.concatenate(part) for part in zip(*tables)), adjoints
 
 
 def dense_system(A, G, alpha, omega, q: int) -> TwistedSystem:

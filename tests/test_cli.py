@@ -208,9 +208,9 @@ class TestErrors:
             env=_child_env(),
             timeout=60,
         )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error:") and "5000" in proc.stderr
+        # h1's bar-complex cap reads the order off the string, before the group builder's own cap
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: bar complex capped at order 24, got 1000000000000\n"
 
     def test_descriptor_missing_field_is_domain_error(self):
         code, out, err = invoke("hirsch", "--descriptor", '{"kind":"finite"}')
@@ -412,10 +412,33 @@ class TestTwistCap:
             1, "", "error: twisted group algebra of order 257: 16974593 entries exceed 16777216\n"
         )
 
+    def test_coefficient_algebra_checked_before_it_is_built(self, monkeypatch):
+        # crossed over the center of C1024 would build C[N] for |N| = 1024
+        def refuse(*args, **kwargs):
+            raise AssertionError("a twisted group algebra was built")
+
+        monkeypatch.setattr(staralg, "twisted_group_algebra", refuse)
+        code, out, err = invoke("crossed", "--group", "cyclic:1024", "--normal", "center")
+        assert (code, out, err) == (
+            1, "", "error: twisted group algebra of order 1024: 1073741824 entries exceed 16777216\n"
+        )
+
     def test_cap_edge(self):
         staralg.check_twist_cap(256)  # dihedral:128 and cyclic:256 are admitted
         with pytest.raises(ResourceCapError):
             staralg.check_twist_cap(257)
+
+
+class TestBarComplexCap:
+    @pytest.mark.parametrize("command", ["h1", "h2", "extend", "classify", "fibers"])
+    def test_builtin_checked_before_its_table(self, command, monkeypatch):
+        # a builtin's order comes from its parameters, so no table of order 5000 is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group table was built")
+
+        monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+        code, out, err = invoke(command, "--group", "cyclic:5000")
+        assert (code, out, err) == (1, "", "error: bar complex capped at order 24, got 5000\n")
 
 
 class TestCardinalityCap:
@@ -664,6 +687,11 @@ class TestAlgebraGoldenBytes:
          '{"matches":true,"sigma_deviation":0.0,"stabilized_profile":[4,4,4,4],'
          '"tensored_profile":[4,4,4,4],"twisted_profile":[1,1,1,1]}\n',
          "stabilized over cyclic(4); deviation 0.00e+00\n"),
+        # the stabilized crossed product has dimension 1728, a basis of 1728 x 144 row maps
+        ("stabilize --group cyclic:12",
+         '{"matches":true,"sigma_deviation":0.0,"stabilized_profile":[%s],"tensored_profile":[%s],'
+         '"twisted_profile":[%s]}\n' % (",".join(["12"] * 12), ",".join(["12"] * 12), ",".join(["1"] * 12)),
+         "stabilized over cyclic(12); deviation 0.00e+00\n"),
         ("fibers --group klein",
          tuple(
              '{"base":"klein","class":"%s","fibers":[{"blocks":[1,1,1,1],"chi":["0"]},'

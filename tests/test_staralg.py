@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense import coords_batch, dense_system, element, monomial_rows
+from dense import all_pairs_closure, coords_batch, dense_system, element, monomial_rows
 from instances import imprimitivity_instance, random_coboundary, small_groups, stabilization_instance
 from oracles import character_degrees, conjugacy_class_count, corpus_with_h2, omega_regular_class_count, relabeled
 
@@ -95,12 +95,43 @@ class TestStarAlgebra:
         b[2, 1, 0] = 1
         with pytest.raises(ValueError, match="outside the algebra span"):
             StarAlgebra(*monomial_rows(b, 1))
-        # in an accepted family a product covers at most one basis matrix, so the
-        # structure constants hold one entry per composable pair
+
+    def test_closure_matches_all_pairs_reference(self):
+        # only composable pairs are composed, yet the structure constants and the
+        # adjoints are those of composing every pair over every row
         systems = [imprimitivity_instance(seed)[2] for seed in range(12)]
         systems += [stabilization_instance(seed) for seed in range(25)]
-        for A in [alg for sys in systems for alg in (sys.algebra, crossed_product(sys))]:
+        algebras = [alg for sys in systems for alg in (sys.algebra, crossed_product(sys))]
+        algebras += [twisted_group_algebra(G, trivial_cocycle(G)) for G, _ in corpus_with_h2()]
+        for A in algebras:
+            # in an accepted family a product covers at most one basis matrix, so the
+            # structure constants hold one entry per composable pair
             assert (np.diff(A.structure[0]) > 0).all(), A.label
+            structure, adjoints = all_pairs_closure(A.col, A.num, A.q)
+            assert all(np.array_equal(a, b) for a, b in zip(A.structure, structure)), A.label
+            assert all(np.array_equal(a, b) for a, b in zip(A.adjoints, adjoints)), A.label
+
+    @pytest.mark.parametrize(
+        "entries,D",
+        [
+            # closed under adjoint, but E02 E20 = E00 covers half of supp(E00 + E11):
+            # the row sets {0, 1} and {0} overlap
+            ([[(0, 0), (1, 1)], [(0, 2)], [(2, 0)]], 3),
+            # X = E20 + E31 has the column set {0, 1}, across the row sets {0} and {1}:
+            # X E00 = E20 covers half of supp(X)
+            ([[(0, 0)], [(1, 1)], [(2, 0), (3, 1)]], 4),
+        ],
+        ids=["row-sets-overlap", "column-set-straddles"],
+    )
+    def test_overlapping_sets_refused(self, entries, D):
+        b = np.zeros((len(entries), D, D), dtype=complex)
+        for m, positions in zip(b, entries):
+            m[tuple(zip(*positions))] = 1
+        rows = monomial_rows(b, 1)
+        with pytest.raises(ValueError, match="outside the algebra span"):
+            StarAlgebra(*rows)
+        with pytest.raises(ValueError, match="outside the algebra span"):
+            all_pairs_closure(*rows)
 
     def test_one_escaping_pair_found_in_large_family(self):
         # the matrix units of M_14 on the first 14 coordinates and X = E_{14,15} + E_{15,14}:
