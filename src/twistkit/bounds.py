@@ -73,10 +73,10 @@ def twisted_bound(h_g: int, h_h2: int) -> int:
     return f_bound(h_g + h_h2)
 
 
-def wreath_bound_finite_K(k: int, dim_A: int | None = None) -> int:
+def wreath_bound_finite_K(k: int) -> int:
     """Bound 2 * 9^k for a finite-fiber wreath-type crossed product over an
-    acting group of polynomial growth degree k.  The fiber dimension dim_A
-    is accepted for interface symmetry but does not enter the value."""
+    acting group of polynomial growth degree k; the fiber dimension does
+    not enter the value."""
     if k < 0:
         raise ValueError(f"growth degree must be non-negative, got {k}")
     return 2 * 9**k

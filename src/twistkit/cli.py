@@ -39,7 +39,7 @@ from .groups import (
     resolve_group_string,
     subgroup_as_group,
 )
-from .homology import _check_order, h1, h2
+from .homology import check_bar_cap, h1, h2
 from .staralg import (
     block_profile,
     check_crossed_cap,
@@ -59,9 +59,9 @@ def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=lambda x: x.item()) + "\n"
 
 
-# descriptor parsing recurses two Python frames per nesting level, so under
-# the default recursion limit of 1000 a descriptor 495 levels deep is the
-# deepest that evaluates from the command line; 490 leaves a few frames spare
+# json.loads still recurses in C, one level of the interpreter's recursion
+# limit per nesting level, so a document is refused above this depth before
+# it is parsed; the descriptor walks themselves do not recurse
 _JSON_DEPTH_CAP = 490
 _JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 
@@ -128,21 +128,21 @@ def load_descriptor(spec: str) -> dsc.GroupDescriptor:
 
 
 def _cmd_h2(args):
-    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
+    check_bar_cap(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     inv = h2(G)
     return {"h2": inv.to_json()}, [f"group {G.name} of order {G.order}: H2 = {inv}"]
 
 
 def _cmd_h1(args):
-    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
+    check_bar_cap(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     inv = h1(G)
     return {"h1": inv.to_json()}, [f"group {G.name} of order {G.order}: H1 = {inv}"]
 
 
 def _cmd_extend(args):
-    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
+    check_bar_cap(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     ext = sample_extension(G, seed=args.seed)
     doc = {
@@ -160,7 +160,7 @@ def _cmd_extend(args):
 
 
 def _cmd_classify(args):
-    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
+    check_bar_cap(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     check_classify_cap(h2(G).order() * G.order)  # before the exact extension work
     ext = sample_extension(G, seed=args.seed)
@@ -183,7 +183,7 @@ def _cmd_twist(args):
 
 
 def _cmd_fibers(args):
-    _check_order(builtin_order(args.group) or 0)  # a builtin's order, before its table
+    check_bar_cap(builtin_order(args.group) or 0)  # a builtin's order, before its table
     G = load_group(args.group)
     ext = sample_extension(G, seed=args.seed)
     rep = extension_report(ext, seed=args.seed)

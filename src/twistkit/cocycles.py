@@ -20,9 +20,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import IdentityViolationError, InvalidGroupError
-from .groups import FiniteGroup, Subgroup, center, element_orders, generating_sequence, klein, mixed_radix
-from .groups import group_from_json, quotient, resolve_group_string
-from .homology import SplittingData, H2Presentation, build_chain, h2, h2_presentation
+from .groups import FiniteGroup, Subgroup, center, klein, mixed_radix
+from .groups import group_from_json, resolve_group_string
 
 # with q <= 2**52 a sum of two numerators is below 2**53, so it converts to
 # float64 exactly and a phase e^(2 pi i num/q) rounds exactly as the
@@ -86,9 +85,6 @@ class Cocycle2:
         out = out.reshape(self.num.shape)
         out.setflags(write=False)
         return out
-
-    def angle(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self.num[i, j]), self.q)
 
     def is_trivial_table(self) -> bool:
         return not self.num.any()
@@ -156,11 +152,6 @@ def multiply(a: Cocycle2, b: Cocycle2) -> Cocycle2:
         raise ValueError("cocycles live on different groups")
     q = lcm(a.q, b.q)  # above MAX_DENOMINATOR the sum may overflow, but Cocycle2 rejects q first
     return Cocycle2(a.group, a.num * (q // a.q) + b.num * (q // b.q), q)
-
-
-def conjugate(a: Cocycle2) -> Cocycle2:
-    """Pointwise complex conjugate (angle negation)."""
-    return Cocycle2(a.group, -a.num, a.q)
 
 
 def normalize(omega: Cocycle2) -> tuple[Cocycle2, Cochain1]:
@@ -231,62 +222,8 @@ def characters_for_factors(factors) -> list[Character]:
     return [Character(factors, t, q) for t in digits * (q // np.array(factors, dtype=np.int64))]
 
 
-def characters_of_h2(G: FiniteGroup) -> list[Character]:
-    """All homomorphisms H2(G) -> Q/Z, the trivial one first."""
-    return characters_for_factors(h2(G).torsion)
-
-
-def induced_character(omega: Cocycle2, split) -> Character:
-    """The class of omega as a character of H2, via pairing with the
-    representative 2-cycles.  Well-defined because a cocycle kills
-    boundaries, and independent of the splitting."""
-    pres: H2Presentation = split.h2 if isinstance(split, SplittingData) else split
-    if not np.array_equal(pres.chain.group.table, omega.group.table):
-        raise ValueError("cocycle and presentation live on different groups")
-    totals = omega.num.reshape(-1).astype(object) @ pres.cycles
-    return Character(pres.invariant_factors, totals % omega.q, omega.q)
-
-
-def cohomologous(a: Cocycle2, b: Cocycle2, presentation: H2Presentation | None = None) -> bool:
-    """True iff the two cocycles induce the same character of H2."""
-    if not np.array_equal(a.group.table, b.group.table):
-        raise ValueError("cocycles live on different groups")
-    if presentation is None:
-        presentation = h2_presentation(build_chain(a.group))
-    ca, cb = induced_character(a, presentation), induced_character(b, presentation)
-    return ca.q == cb.q and np.array_equal(ca.num, cb.num)
-
-
 # ---------------------------------------------------------------------------
-# characters of abelian subgroups and the central-extension cocycle
-
-
-def subgroup_characters(S: Subgroup) -> tuple[np.ndarray, np.ndarray, int]:
-    """All homomorphisms from an abelian subgroup into Q/Z, as (members, num,
-    q): row t of num holds the numerators over q of the t-th character on
-    members, the parent indices of S in ascending order.  Rows ascend
-    lexicographically, so the trivial character comes first."""
-    G = S.parent
-    mem = list(S.members)
-    sub = G.table[np.ix_(mem, mem)]
-    if not np.array_equal(sub, sub.T):
-        raise InvalidGroupError("subgroup is not abelian")
-    # each exponent vector e over greedy generators g_i of orders o_i names
-    # the member word[e] = prod g_i^e_i; sending g_i to t_i / o_i is a
-    # character exactly when equal words get equal angles
-    gens = generating_sequence(G, mem)
-    orders = element_orders(G)[gens]
-    expo, _ = mixed_radix(orders)
-    word = np.zeros(len(expo), dtype=np.int64)
-    for g, o, e in zip(gens, orders, expo.T):
-        word = G.table[word, np.array([G.power(g, k) for k in range(o)])[e]]
-    q = lcm(*orders.tolist())
-    num = expo * (q // orders) @ expo.T % q  # num[t, e] = angle of word[e] under t, over q
-    _, first, where = np.unique(word, return_index=True, return_inverse=True)
-    chars = num[(num == num[:, first[where]]).all(axis=1)][:, first]
-    if len(chars) != len(mem):
-        raise InvalidGroupError("character count mismatch on abelian subgroup")
-    return np.array(mem, dtype=np.int64), chars[np.lexsort(chars.T[::-1])], q
+# characters of central subgroups
 
 
 def central_character(G: FiniteGroup, N: Subgroup, num, q: int) -> tuple[np.ndarray, int]:
@@ -307,18 +244,6 @@ def central_character(G: FiniteGroup, N: Subgroup, num, q: int) -> tuple[np.ndar
     if np.any(chi[G.table[members[:, None], members]] != (num[:, None] + num) % q):
         raise InvalidGroupError("character is not multiplicative")
     return chi, q
-
-
-def sigma_chi(G: FiniteGroup, N: Subgroup, num, q: int) -> Cocycle2:
-    """The 2-cocycle on G/N measuring the failure of the canonical lift to
-    be a homomorphism, evaluated through a character of the central N given
-    as in central_character (a row of subgroup_characters):
-
-        sigma([s], [t]) = chi( c([s]) c([t]) c([s t])^-1 ).
-    """
-    chi, q = central_character(G, N, num, q)
-    (Q, _, lift), tbl = quotient(G, N), G.table
-    return Cocycle2(Q, chi[tbl[tbl[lift[:, None], lift[None, :]], G.inverse[lift[Q.table]]]], q)
 
 
 # ---------------------------------------------------------------------------

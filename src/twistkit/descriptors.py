@@ -3,9 +3,12 @@
 Groups are described by a small AST rather than by elements: finite groups,
 free abelian groups, axiomatized atoms (carrying their own invariants),
 extensions, quotients, restricted wreath products, and finite direct sums.
-Hirsch length is computed by structural recursion with the additivity rule
+Hirsch length is computed by structural induction with the additivity rule
 h(G) = h(N) + h(G/N) and the wreath rule h(K wr H) = h(K)*|H| + h(H) under
-the convention 0 * infinity = 0.
+the convention 0 * infinity = 0.  Every rule is a generator step over one
+node that yields the children it needs, and one explicit-stack fold runs
+the steps, so no walk recurses in Python and a descriptor nests as deep as
+its parser admits whatever the caller's stack depth.
 
 Structural flags (finitely generated, virtually nilpotent, virtually
 polycyclic, elementary amenable) are tri-state: True, False, or None for
@@ -16,7 +19,6 @@ hypotheses instead of guessing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -145,28 +147,64 @@ def Zinv(p: int) -> Atom:
 
 
 # ---------------------------------------------------------------------------
+# the fold
+
+
+def _fold(step, root):
+    """Evaluate step(root) with an explicit stack in place of recursion.
+
+    A step is a generator over one node: it yields (step, child) for each
+    value it needs, receives that value (or has its exception thrown in, at
+    the yield) and returns its own.  Values are kept for this call by node
+    identity, so a subtree shared by several parents is evaluated once; an
+    exception is raised afresh wherever its node is asked for again."""
+    memo: dict = {}
+    stack = [((step, id(root)), step(root))]
+    value, error = None, None
+    while stack:
+        key, walk = stack[-1]
+        try:
+            want = walk.send(value) if error is None else walk.throw(error)
+        except StopIteration as done:
+            stack.pop()
+            memo[key] = value = done.value
+            error = None
+            continue
+        except Exception as exc:  # handed to the step that asked, as a recursive call would raise it
+            stack.pop()
+            value, error = None, exc
+            continue
+        key, error = (want[0], id(want[1])), None
+        if key in memo:
+            value = memo[key]
+        else:
+            stack.append((key, want[0](want[1])))
+            value = None
+    if error is not None:
+        raise error
+    return value
+
+
+def _each(step, nodes):
+    """The values of step over several nodes, in order, as a step asks for
+    them: values = yield from _each(step, nodes)."""
+    values = []
+    for node in nodes:
+        values.append((yield step, node))
+    return values
+
+
+# ---------------------------------------------------------------------------
 # cardinality
 
 
-def _once_per_node(fn):
-    """Evaluate fn once per descriptor node and keep the value on the frozen
-    node; an exception is raised afresh on every call."""
-    key = "_" + fn.__name__
-
-    @functools.wraps(fn)
-    def evaluate(d):
-        kept = getattr(d, "__dict__", {})  # fn itself refuses a non-descriptor
-        if key not in kept:
-            kept[key] = fn(d)
-        return kept[key]
-
-    return evaluate
-
-
-@_once_per_node
 def cardinality(d: GroupDescriptor) -> float | None:
     """Number of elements: a positive integer, INF, or None when the AST
     does not determine it."""
+    return _fold(_card, d)
+
+
+def _card(d):
     if isinstance(d, Finite):
         return d.order
     if isinstance(d, FreeAbelian):
@@ -174,9 +212,9 @@ def cardinality(d: GroupDescriptor) -> float | None:
     if isinstance(d, Atom):
         return d.card
     if isinstance(d, Extension):
-        return _card_product(cardinality(d.normal), cardinality(d.quotient))
+        return _card_product((yield _card, d.normal), (yield _card, d.quotient))
     if isinstance(d, Quotient):
-        cg, cn = cardinality(d.group), cardinality(d.normal)
+        cg, cn = (yield _card, d.group), (yield _card, d.normal)
         if cg == INF and cn != INF and cn is not None:
             return INF
         if cg is None or cn is None or cg == INF:
@@ -185,7 +223,7 @@ def cardinality(d: GroupDescriptor) -> float | None:
             raise ValueError("normal subgroup order must divide the group order")
         return cg // cn
     if isinstance(d, Wreath):
-        ck, ch = cardinality(d.base), cardinality(d.top)
+        ck, ch = (yield _card, d.base), (yield _card, d.top)
         if ch == INF or ck == INF:
             return INF
         if ck == 1:
@@ -197,7 +235,7 @@ def cardinality(d: GroupDescriptor) -> float | None:
             raise _too_many_digits()
         return _printable(ck**ch * ch)
     if isinstance(d, DirectSum):
-        cards = [cardinality(p) for p in d.parts]
+        cards = yield from _each(_card, d.parts)
         if any(c == INF for c in cards):
             return INF
         if any(c is None for c in cards):
@@ -234,7 +272,6 @@ def _card_product(a: float | None, b: float | None) -> float | None:
 # Hirsch length
 
 
-@_once_per_node
 def hirsch_length(d: GroupDescriptor) -> float:
     """Hirsch length in non-negative integers extended by INF.
 
@@ -245,6 +282,10 @@ def hirsch_length(d: GroupDescriptor) -> float:
     infinite-by-infinite quotient, or a wreath whose acting group has
     unknown cardinality and a base of positive length).
     """
+    return _fold(_hirsch, d)
+
+
+def _hirsch(d):
     if isinstance(d, Finite):
         return 0
     if isinstance(d, FreeAbelian):
@@ -252,9 +293,9 @@ def hirsch_length(d: GroupDescriptor) -> float:
     if isinstance(d, Atom):
         return d.hirsch
     if isinstance(d, Extension):
-        return hirsch_length(d.normal) + hirsch_length(d.quotient)
+        return (yield _hirsch, d.normal) + (yield _hirsch, d.quotient)
     if isinstance(d, Quotient):
-        hg, hn = hirsch_length(d.group), hirsch_length(d.normal)
+        hg, hn = (yield _hirsch, d.group), (yield _hirsch, d.normal)
         if hg == INF and hn == INF:
             raise IndeterminateHirschError(
                 "quotient of infinite Hirsch length by infinite Hirsch length"
@@ -263,19 +304,19 @@ def hirsch_length(d: GroupDescriptor) -> float:
             raise ValueError("normal subgroup cannot have larger Hirsch length")
         return hg - hn
     if isinstance(d, Wreath):
-        hk = hirsch_length(d.base)
+        hk = yield _hirsch, d.base
         if hk == 0:
-            return hirsch_length(d.top)
-        ch = cardinality(d.top)
+            return (yield _hirsch, d.top)
+        ch = yield _card, d.top
         if ch is None:
             raise IndeterminateHirschError(
                 "wreath with base of positive Hirsch length over a group of unknown order"
             )
         if ch == INF:
             return INF
-        return hk * ch + hirsch_length(d.top)
+        return hk * ch + (yield _hirsch, d.top)
     if isinstance(d, DirectSum):
-        return sum(hirsch_length(p) for p in d.parts)
+        return sum((yield from _each(_hirsch, d.parts)))
     raise TypeError(f"not a descriptor: {d!r}")
 
 
@@ -298,14 +339,18 @@ def _is_finite_card(c: float | None) -> bool:
 
 def flags(d: GroupDescriptor) -> Flags:
     """Conservative tri-state propagation of the four structural flags."""
+    return _fold(_flags, d)
+
+
+def _flags(d):
     if isinstance(d, (Finite, FreeAbelian)):
         return ALL_TRUE
     if isinstance(d, Atom):
         return d.flags
     if isinstance(d, Extension):
-        fn, fq = flags(d.normal), flags(d.quotient)
-        fin_n = _is_finite_card(cardinality(d.normal))
-        fin_q = _is_finite_card(cardinality(d.quotient))
+        fn, fq = (yield _flags, d.normal), (yield _flags, d.quotient)
+        fin_n = _is_finite_card((yield _card, d.normal))
+        fin_q = _is_finite_card((yield _card, d.quotient))
         # finite generation passes to quotients, so a non-f.g. quotient
         # rules the extension out; a non-f.g. kernel does not
         if fq.finitely_generated is False:
@@ -327,12 +372,12 @@ def flags(d: GroupDescriptor) -> Flags:
             elementary_amenable=_all3(fn.elementary_amenable, fq.elementary_amenable),
         )
     if isinstance(d, Quotient):
-        fg_ = flags(d.group)
+        fg_ = yield _flags, d.group
         # all four flags pass to quotients; nothing follows from False
         return Flags(*((True if getattr(fg_, k) is True else None) for k in _FLAG_KEYS))
     if isinstance(d, Wreath):
-        fk, fh = flags(d.base), flags(d.top)
-        ck, ch = cardinality(d.base), cardinality(d.top)
+        fk, fh = (yield _flags, d.base), (yield _flags, d.top)
+        ck, ch = (yield _card, d.base), (yield _card, d.top)
         if ck == 1:
             return fh
         base_nontrivial = ck is not None and ck >= 2
@@ -365,7 +410,7 @@ def flags(d: GroupDescriptor) -> Flags:
             elementary_amenable=_all3(fk.elementary_amenable, fh.elementary_amenable),
         )
     if isinstance(d, DirectSum):
-        fs = [flags(p) for p in d.parts]
+        fs = yield from _each(_flags, d.parts)
         return Flags(*(_all3(*(getattr(f, k) for f in fs)) for k in _FLAG_KEYS))
     raise TypeError(f"not a descriptor: {d!r}")
 
@@ -415,12 +460,12 @@ def wreath_dr_verdict(K: GroupDescriptor, H: GroupDescriptor) -> str:
 # named instances and serialization
 
 
-def hall_descriptors(p: int = 2) -> tuple[GroupDescriptor, GroupDescriptor]:
+def hall_descriptors() -> tuple[GroupDescriptor, GroupDescriptor]:
     """A center-by-metabelian pair (H, G): H is built from three copies of
-    Z[1/p] extended by the integers, and G is H modulo a central copy of
+    Z[1/2] extended by the integers, and G is H modulo a central copy of
     the integers.  Hirsch lengths 4 and 3."""
     H = Extension(
-        Extension(DirectSum((Zinv(p), Zinv(p))), Zinv(p)),
+        Extension(DirectSum((Zinv(2), Zinv(2))), Zinv(2)),
         FreeAbelian(1),
     )
     G = Quotient(H, FreeAbelian(1))
@@ -436,6 +481,11 @@ def _card_to_json(c: float | None):
 
 
 def descriptor_to_json(d: GroupDescriptor) -> dict:
+    """The JSON document of a descriptor, as descriptor_from_json reads it."""
+    return _fold(_to_json, d)
+
+
+def _to_json(d):
     if isinstance(d, Finite):
         return {"kind": "finite", "order": d.order}
     if isinstance(d, FreeAbelian):
@@ -451,19 +501,19 @@ def descriptor_to_json(d: GroupDescriptor) -> dict:
     if isinstance(d, Extension):
         return {
             "kind": "ext",
-            "normal": descriptor_to_json(d.normal),
-            "quotient": descriptor_to_json(d.quotient),
+            "normal": (yield _to_json, d.normal),
+            "quotient": (yield _to_json, d.quotient),
         }
     if isinstance(d, Quotient):
         return {
             "kind": "quotient",
-            "group": descriptor_to_json(d.group),
-            "normal": descriptor_to_json(d.normal),
+            "group": (yield _to_json, d.group),
+            "normal": (yield _to_json, d.normal),
         }
     if isinstance(d, Wreath):
-        return {"kind": "wreath", "base": descriptor_to_json(d.base), "top": descriptor_to_json(d.top)}
+        return {"kind": "wreath", "base": (yield _to_json, d.base), "top": (yield _to_json, d.top)}
     if isinstance(d, DirectSum):
-        return {"kind": "direct_sum", "parts": [descriptor_to_json(p) for p in d.parts]}
+        return {"kind": "direct_sum", "parts": (yield from _each(_to_json, d.parts))}
     raise TypeError(f"not a descriptor: {d!r}")
 
 
@@ -494,13 +544,13 @@ def _card_field(doc: dict, key: str, required: bool = True) -> float | None:
     raise ValueError(f'descriptor field {key!r} must be an integer, "infinite" or null, got {v!r}')
 
 
-def _sub(doc: dict, key: str) -> GroupDescriptor:
-    return descriptor_from_json(_field(doc, key))
-
-
 def descriptor_from_json(doc: dict) -> GroupDescriptor:
     """Parse a descriptor document; raises ValueError naming the first
     missing or ill-typed field."""
+    return _fold(_from_json, doc)
+
+
+def _from_json(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("descriptor JSON needs a 'kind' field")
     kind = doc["kind"]
@@ -525,59 +575,55 @@ def descriptor_from_json(doc: dict) -> GroupDescriptor:
             flags=Flags(**{k: fl.get(k) for k in _FLAG_KEYS}),
         )
     if kind == "ext":
-        return Extension(_sub(doc, "normal"), _sub(doc, "quotient"))
+        return Extension((yield _from_json, _field(doc, "normal")), (yield _from_json, _field(doc, "quotient")))
     if kind == "quotient":
-        return Quotient(_sub(doc, "group"), _sub(doc, "normal"))
+        return Quotient((yield _from_json, _field(doc, "group")), (yield _from_json, _field(doc, "normal")))
     if kind == "wreath":
-        return Wreath(_sub(doc, "base"), _sub(doc, "top"))
+        return Wreath((yield _from_json, _field(doc, "base")), (yield _from_json, _field(doc, "top")))
     if kind == "direct_sum":
         parts = _field(doc, "parts")
         if not isinstance(parts, list):
             raise ValueError(f"descriptor field 'parts' must be a list, got {parts!r}")
-        return DirectSum(tuple(descriptor_from_json(p) for p in parts))
+        return DirectSum(tuple((yield from _each(_from_json, parts))))
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 
-def derivation_lines(d: GroupDescriptor, indent: int = 0) -> list[str]:
-    """Human-readable recursion trace for the Hirsch computation."""
-    pad = "  " * indent
+def derivation_lines(d: GroupDescriptor) -> list[str]:
+    """Human-readable trace of the Hirsch computation, one line per node,
+    each child's lines indented under its parent's."""
+    out, todo = [], [(0, _fold(_lines, d))]
+    while todo:
+        depth, (line, children) = todo.pop()
+        out.append("  " * depth + line)
+        todo += [(depth + 1, child) for child in reversed(children)]
+    return out
 
-    def show(v):
-        return "infinite" if v == INF else str(int(v))
 
+def _show(v) -> str:
+    return "infinite" if v == INF else str(int(v))
+
+
+def _lines(d):
+    """A node's line and its children's (line, children) pairs."""
     try:
-        h = show(hirsch_length(d))
+        h = _show((yield _hirsch, d))
     except IndeterminateHirschError:
         h = "indeterminate"
     if isinstance(d, Finite):
-        return [f"{pad}finite({d.order}): h = 0"]
+        return f"finite({d.order}): h = 0", []
     if isinstance(d, FreeAbelian):
-        return [f"{pad}free_abelian(rank {d.rank}): h = {d.rank}"]
+        return f"free_abelian(rank {d.rank}): h = {d.rank}", []
     if isinstance(d, Atom):
-        return [f"{pad}atom {d.label}: h = {show(d.hirsch)} (axiomatized)"]
+        return f"atom {d.label}: h = {_show(d.hirsch)} (axiomatized)", []
     if isinstance(d, Extension):
-        return (
-            [f"{pad}extension: h = h(normal) + h(quotient) = {h}"]
-            + derivation_lines(d.normal, indent + 1)
-            + derivation_lines(d.quotient, indent + 1)
-        )
+        return f"extension: h = h(normal) + h(quotient) = {h}", [(yield _lines, d.normal), (yield _lines, d.quotient)]
     if isinstance(d, Quotient):
-        return (
-            [f"{pad}quotient: h = h(group) - h(normal) = {h}"]
-            + derivation_lines(d.group, indent + 1)
-            + derivation_lines(d.normal, indent + 1)
-        )
+        return f"quotient: h = h(group) - h(normal) = {h}", [(yield _lines, d.group), (yield _lines, d.normal)]
     if isinstance(d, Wreath):
-        ch = cardinality(d.top)
-        card = "unknown" if ch is None else ("infinite" if ch == INF else str(int(ch)))
-        return (
-            [f"{pad}wreath: h = h(base)*|top| + h(top) = {h}  (|top| = {card}, 0*inf = 0)"]
-            + derivation_lines(d.base, indent + 1)
-            + derivation_lines(d.top, indent + 1)
-        )
+        ch = yield _card, d.top
+        card = "unknown" if ch is None else _show(ch)
+        line = f"wreath: h = h(base)*|top| + h(top) = {h}  (|top| = {card}, 0*inf = 0)"
+        return line, [(yield _lines, d.base), (yield _lines, d.top)]
     if isinstance(d, DirectSum):
-        out = [f"{pad}direct_sum: h = sum of parts = {h}"]
-        for p in d.parts:
-            out += derivation_lines(p, indent + 1)
-        return out
+        return f"direct_sum: h = sum of parts = {h}", (yield from _each(_lines, d.parts))
     raise TypeError(f"not a descriptor: {d!r}")

@@ -22,10 +22,6 @@ class IdentityViolationError(TwistkitError):
         self.triple = triple
 
 
-class NoSolutionError(TwistkitError):
-    """A vector lies outside the lattice it must belong to (a 2-chain that is not a cycle)."""
-
-
 class ResourceCapError(TwistkitError):
     """An input exceeds the documented size guard for an operation."""
 

@@ -94,9 +94,6 @@ class CentralExtension:
         if smap.shape != (G.order,) or not np.array_equal(self.project.map[smap], np.arange(G.order)):
             raise VerificationError("section is not a right inverse of the projection")
 
-    def section(self, g: int) -> int:
-        return int(self.section_map[g])
-
     @property
     def kernel_subgroup(self) -> Subgroup:
         return Subgroup(self.total, tuple(int(x) for x in self.embed.map))

@@ -2,7 +2,7 @@
 
 Elements of a group of order m are the indices 0..m-1, with 0 always the
 identity.  The whole structure is the multiplication table; builtins
-(cyclic, klein, dihedral, quaternion, symmetric, products, wreath) fix a
+(cyclic, klein, dihedral, quaternion, symmetric, products) fix a
 documented element enumeration so results are reproducible, and every
 table is built by array indexing.  Coordinate tuples follow one digit
 convention (mixed_radix), subgroups have one closure (generated_subgroup)
@@ -30,7 +30,7 @@ class FiniteGroup:
     table[i, j] is the index of g_i * g_j.  Index 0 is the identity.
     """
 
-    def __init__(self, table, name: str | None = None, validate: bool = True):
+    def __init__(self, table, name: str | None = None):
         tbl = np.asarray(table, dtype=np.int64)
         if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
             raise InvalidGroupError(f"table must be square, got shape {tbl.shape}")
@@ -40,8 +40,7 @@ class FiniteGroup:
         self.order = m
         self.table = tbl
         self.name = name
-        if validate:
-            self._validate()
+        self._validate()
         # inv[i] solves table[i, inv[i]] = 0; Latin square makes it unique
         self.inverse = np.argmin(tbl, axis=1).astype(np.int64)
         if np.any(tbl[np.arange(m), self.inverse] != 0):
@@ -77,20 +76,6 @@ class FiniteGroup:
                 if not np.array_equal(tbl[rows[:, a]], rows[:, tbl[a]]):
                     raise InvalidGroupError("multiplication is not associative")
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
-    def inv(self, i: int) -> int:
-        return int(self.inverse[i])
-
-    def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(i), -k)
-        acc = 0
-        for _ in range(k):
-            acc = int(self.table[acc, i])
-        return acc
-
     def order_of(self, i: int) -> int:
         acc = int(self.table[0, i])
         n = 1
@@ -99,15 +84,8 @@ class FiniteGroup:
             n += 1
         return n
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return int(self.table[self.table[g, x], self.inverse[g]])
-
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self):
         label = self.name or "group"
@@ -294,29 +272,6 @@ def semidirect(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     return FiniteGroup(tbl, name=label)
 
 
-def wreath(K: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """Wreath product K wr H = K^H x| H, with H permuting coordinates.
-
-    A tuple f: H -> K is encoded little-endian in base |K| over the |H|
-    coordinates, i.e. f(x) is the mixed-radix digit x counted from the least
-    significant end; (f, h) sits at index f_code * |H| + h_idx.  The action
-    is (h.f)(x) = f(h^-1 x).
-    """
-    nk, nh = K.order, H.order
-    total = nk**nh * nh
-    if total > MAX_CONSTRUCTED_ORDER:
-        raise ResourceCapError(
-            f"wreath product order {total} exceeds the limit {MAX_CONSTRUCTED_ORDER}"
-        )
-    digits, strides = mixed_radix((nk,) * nh)
-    f, weight = digits[:, ::-1], strides[::-1]  # f[c, x] = f_c(x)
-    moved = f[:, H.table[H.inverse]]  # moved[c, h, x] = (h.f_c)(x)
-    # (f1, h1)(f2, h2) = (f1 . (h1.f2), h1 h2); code indexed [c1, c2, h1]
-    code = sum(K.table[f[:, None, None, x], moved[None, :, :, x]] * weight[x] for x in range(nh))
-    tbl = code.transpose(0, 2, 1)[..., None] * nh + H.table[:, None, :]
-    return FiniteGroup(tbl.reshape(total, total), name=f"{K.name or '?'} wr {H.name or '?'}")
-
-
 # name -> (constructor, arity, order implied by the parameters); None where
 # the constructor bounds its own parameter before building anything
 _BUILTINS = {
@@ -460,31 +415,11 @@ def element_orders(G: FiniteGroup) -> np.ndarray:
     return orders
 
 
-def generating_sequence(G: FiniteGroup, members=None) -> list[int]:
-    """Greedy generators of the subgroup with the given sorted members (all
-    of G by default): repeatedly the element of largest order outside the
-    closure so far, ties going to the smallest index."""
-    mem = np.arange(G.order) if members is None else np.asarray(members, dtype=np.int64)
-    by_order = mem[np.argsort(-element_orders(G)[mem], kind="stable")]
-    gens: list[int] = []
-    inside = generated_subgroup(G, gens).indicator
-    while not inside[mem].all():
-        gens.append(int(by_order[np.argmax(~inside[by_order])]))
-        inside = generated_subgroup(G, gens).indicator
-    return gens
-
-
 def center(G: FiniteGroup) -> Subgroup:
     """Elements commuting with everything; always a normal subgroup."""
     tbl = G.table
     central = np.nonzero(np.all(tbl == tbl.T, axis=1))[0]
     return Subgroup(G, tuple(int(z) for z in central))
-
-
-def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators g h g^-1 h^-1."""
-    tbl = G.table
-    return generated_subgroup(G, np.unique(tbl[tbl, G.inverse[tbl.T]]))  # (g h)(h g)^-1
 
 
 def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -536,12 +471,6 @@ def coset_index(G: FiniteGroup, S: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """
     reps, number = np.unique(G.table[:, list(S.members)].min(axis=1), return_inverse=True)
     return number, reps
-
-
-def left_cosets(G: FiniteGroup, S: Subgroup) -> list[tuple[int, ...]]:
-    """Left cosets gS as sorted tuples, in the order of coset_index."""
-    number, reps = coset_index(G, S)
-    return [tuple(c) for c in np.argsort(number, kind="stable").reshape(len(reps), -1).tolist()]
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism, np.ndarray]:

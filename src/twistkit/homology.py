@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intlin
-from .errors import NoSolutionError, ResourceCapError, VerificationError
+from .errors import ResourceCapError, VerificationError
 from .groups import FiniteGroup
 
 _ORDER_CAP = 24
@@ -54,16 +54,11 @@ class ChainData:
     def m(self) -> int:
         return self.group.order
 
-    def pair_index(self, g1: int, g2: int) -> int:
-        return g1 * self.m + g2
 
-    def triple_index(self, g1: int, g2: int, g3: int) -> int:
-        return (g1 * self.m + g2) * self.m + g3
-
-
-def _check_order(m: int) -> None:
-    if m > _ORDER_CAP:
-        raise ResourceCapError(f"bar complex capped at order {_ORDER_CAP}, got {m}")
+def check_bar_cap(order: int) -> None:
+    """Refuse the bar complex of a group above order _ORDER_CAP, before it is built."""
+    if order > _ORDER_CAP:
+        raise ResourceCapError(f"bar complex capped at order {_ORDER_CAP}, got {order}")
 
 
 def _bar_d2(tbl: np.ndarray, lo: int) -> np.ndarray:
@@ -101,7 +96,7 @@ def _bar_d3(tbl: np.ndarray, lo: int) -> np.ndarray:
 
 def build_chain(G: FiniteGroup) -> ChainData:
     """Boundary matrices of the bar complex; verifies d2 @ d3 = 0."""
-    _check_order(G.order)
+    check_bar_cap(G.order)
     d2 = _bar_d2(G.table, 0)
     d3 = _bar_d3(G.table, 0)
     if np.any(d2 @ d3):
@@ -132,21 +127,6 @@ class H2Presentation:
     invariant_factors: tuple[int, ...]
     reduce_rows: np.ndarray
     cycles: np.ndarray
-
-    @property
-    def invariants(self) -> intlin.AbelianInvariants:
-        return intlin.AbelianInvariants(self.invariant_factors)
-
-    def h2_coordinates(self, cycle_vec) -> tuple[int, ...]:
-        """H2 class of a 2-cycle given in C2 coordinates; NoSolutionError
-        unless d2 kills it."""
-        c = np.asarray(cycle_vec).reshape(-1, 1)
-        if np.any(intlin.exact_matmul(self.chain.d2, c)):
-            raise NoSolutionError("the chain is not a 2-cycle")
-        _, _, Vinv, pivots = self.d2_reduction
-        w = intlin.exact_matmul(Vinv[len(pivots) :], c)
-        raw = intlin.exact_matmul(self.reduce_rows, w)[:, 0]
-        return tuple(int(r) % d for r, d in zip(raw, self.invariant_factors))
 
 
 def h2_presentation(chain: ChainData) -> H2Presentation:
@@ -211,7 +191,7 @@ def h1(G: FiniteGroup) -> intlin.AbelianInvariants:
     """C1 / im(d2) on the normalized bar complex (d1 = 0, so this is H1);
     coincides with the abelianization of G."""
     m = G.order
-    _check_order(m)
+    check_bar_cap(m)
     return _finite_cokernel(_bar_d2(G.table, 1), m, m - 1)
 
 
@@ -235,7 +215,7 @@ def h2(G: FiniteGroup) -> intlin.AbelianInvariants:
     finite.  The prime-by-prime local Smith forms of d3 give H2 exactly.
     """
     m = G.order
-    _check_order(m)
+    check_bar_cap(m)
     d2 = _bar_d2(G.table, 1)
     d3 = _distinct_columns(_bar_d3(G.table, 1))
     if np.any(d2 @ d3):

@@ -1,7 +1,6 @@
 """Exact integer linear algebra: Smith/Hermite normal forms with their
-transforms, local Smith forms modulo p^k, kernels, and the invariant-factor
-calculus of finitely generated abelian groups (direct sums, Ext,
-torsion-free quotients).
+transforms, local Smith forms modulo p^k, and the invariant-factor calculus
+of finitely generated abelian groups (normalization, Ext).
 
 Matrices are 2-D numpy arrays.  The Smith and column-Hermite reductions
 run on object-dtype arrays of Python ints, so no entry can overflow and
@@ -58,7 +57,8 @@ def _swap_cols(M, i, j):
 def _snf_core(D, U, Uinv, V):
     """Reduce D in place to Smith form D = U @ D_in @ V, U and V unimodular,
     and keep Uinv = U^-1 (each row operation E on U mirrored as Uinv @ E^-1).
-    On entry each transform is an identity, or None when not tracked."""
+    On entry U is an identity, and Uinv and V identities or None when not
+    tracked."""
     r, c = D.shape
     t = 0
     while t < r and t < c:
@@ -80,8 +80,7 @@ def _snf_core(D, U, Uinv, V):
         while True:
             if D[t, t] < 0:
                 D[t, :] = -D[t, :]
-                if U is not None:
-                    U[t, :] = -U[t, :]
+                U[t, :] = -U[t, :]
                 if Uinv is not None:
                     Uinv[:, t] = -Uinv[:, t]
             # Row ops until column t is clean below the pivot.
@@ -93,8 +92,7 @@ def _snf_core(D, U, Uinv, V):
                         q = D[i, t] // d
                         if q != 0:
                             D[i, t:] -= q * D[t, t:]
-                            if U is not None:
-                                U[i, :] -= q * U[t, :]
+                            U[i, :] -= q * U[t, :]
                             if Uinv is not None:
                                 Uinv[:, t] += q * Uinv[:, i]
                         if D[i, t] != 0:
@@ -140,8 +138,7 @@ def _snf_core(D, U, Uinv, V):
                 if failing.any():
                     i = t + 1 + int(np.argmax(failing))
                     D[t, t:] += D[i, t:]
-                    if U is not None:
-                        U[t, :] += U[i, :]
+                    U[t, :] += U[i, :]
                     if Uinv is not None:
                         Uinv[:, i] -= Uinv[:, t]
                     continue
@@ -155,11 +152,11 @@ def _certify_inverse(A, Ainv) -> None:
         raise VerificationError("transform and accumulated inverse do not multiply to I")
 
 
-def _run_snf(M, track_u: bool, track_uinv: bool, track_v: bool):
+def _run_snf(M, track_uinv: bool, track_v: bool):
     D = as_int_matrix(M).astype(object)
     r, c = D.shape
-    U, Uinv, V = (np.eye(n, dtype=object) if on else None
-                  for n, on in ((r, track_u), (r, track_uinv), (c, track_v)))
+    U = np.eye(r, dtype=object)
+    Uinv, V = (np.eye(n, dtype=object) if on else None for n, on in ((r, track_uinv), (c, track_v)))
     _snf_core(D, U, Uinv, V)
     return D, U, Uinv, V
 
@@ -167,7 +164,7 @@ def _run_snf(M, track_u: bool, track_uinv: bool, track_v: bool):
 def smith_normal_form(M):
     """Return (D, U, V) with D = U @ M @ V, U and V unimodular, and D
     diagonal with a divisibility chain d1 | d2 | ... of nonneg entries."""
-    D, U, _, V = _run_snf(M, True, False, True)
+    D, U, _, V = _run_snf(M, False, True)
     return D, U, V
 
 
@@ -176,16 +173,9 @@ def smith_cokernel(M):
     inverse Uinv (certified U @ Uinv = I), not V.  They present coker(M) as
     the sum of Z/D[i, i]: U[i] @ x is coordinate i of the class of x, and
     column i of Uinv represents generator i."""
-    D, U, Uinv, _ = _run_snf(M, True, True, False)
+    D, U, Uinv, _ = _run_snf(M, True, False)
     _certify_inverse(U, Uinv)
     return D, U, Uinv
-
-
-def smith_diagonal(M) -> list[int]:
-    """Just the diagonal of the Smith form (no transform bookkeeping)."""
-    D, _, _, _ = _run_snf(M, False, False, False)
-    n = min(D.shape)
-    return [int(D[i, i]) for i in range(n)]
 
 
 # columns screened at once for unit entries in local_smith_valuations
@@ -310,9 +300,9 @@ def _hnf_core(H, V, Vinv) -> list[int]:
     return pivot_rows
 
 
-def _run_hnf(M, track_v: bool, track_vinv: bool):
+def _run_hnf(M, track: bool):
     H = as_int_matrix(M).astype(object)
-    V, Vinv = (np.eye(H.shape[1], dtype=object) if on else None for on in (track_v, track_vinv))
+    V, Vinv = (np.eye(H.shape[1], dtype=object) if track else None for _ in range(2))
     return H, V, Vinv, _hnf_core(H, V, Vinv)
 
 
@@ -324,7 +314,7 @@ def column_hnf(M):
     V = [S | K] and Vinv = [T; Y]: K is a basis of the integer kernel of M,
     M = H[:, :k] @ T, and Y @ x gives the K coordinates of a kernel vector x.
     """
-    H, V, Vinv, pivots = _run_hnf(M, True, True)
+    H, V, Vinv, pivots = _run_hnf(M, True)
     _certify_inverse(V, Vinv)
     return H, V, Vinv, np.array(pivots, dtype=np.int64)
 
@@ -332,14 +322,8 @@ def column_hnf(M):
 def hermite_basis(M) -> np.ndarray:
     """The nonzero columns of the column Hermite form of M: the canonical
     basis of its column lattice (no transform is tracked)."""
-    H, _, _, pivots = _run_hnf(M, False, False)
+    H, _, _, pivots = _run_hnf(M, False)
     return H[:, : len(pivots)].copy()
-
-
-def kernel_basis(M) -> np.ndarray:
-    """Columns form a basis of the integer kernel lattice {x : M x = 0}."""
-    _, V, _, pivots = _run_hnf(M, True, False)
-    return V[:, len(pivots) :].copy()
 
 
 def exact_matmul(A, B) -> np.ndarray:
@@ -419,29 +403,6 @@ def invariants_from_orders(orders, free_rank: int = 0) -> AbelianInvariants:
     return AbelianInvariants(tuple(ds), free_rank)
 
 
-def invariants_from_diagonal(diag, rows: int) -> AbelianInvariants:
-    """Cokernel invariants of an r x c matrix from its Smith diagonal."""
-    diag = [int(d) for d in diag]
-    nonzero = [d for d in diag if d != 0]
-    torsion = tuple(d for d in nonzero if d > 1)
-    return AbelianInvariants(torsion, rows - len(nonzero))
-
-
-def cokernel_invariants(M) -> AbelianInvariants:
-    """Invariants of Z^rows / column-span(M)."""
-    A = as_int_matrix(M)
-    return invariants_from_diagonal(smith_diagonal(A), A.shape[0])
-
-
-def direct_sum(*groups: AbelianInvariants) -> AbelianInvariants:
-    orders: list[int] = []
-    free = 0
-    for g in groups:
-        orders.extend(g.torsion)
-        free += g.free_rank
-    return invariants_from_orders(orders, free)
-
-
 def ext_group(A: AbelianInvariants, B: AbelianInvariants) -> AbelianInvariants:
     """Ext(A, B) for finitely generated abelian groups: Ext(Z, -) = 0,
     Ext(Z/m, Z) = Z/m, Ext(Z/m, Z/n) = Z/gcd(m, n), additive in both slots."""
@@ -451,8 +412,3 @@ def ext_group(A: AbelianInvariants, B: AbelianInvariants) -> AbelianInvariants:
         for n in B.torsion:
             orders.append(gcd(m, n))
     return invariants_from_orders(orders, 0)
-
-
-def torsion_free_quotient(A: AbelianInvariants) -> AbelianInvariants:
-    """A / (torsion subgroup): keeps the free rank only."""
-    return AbelianInvariants((), A.free_rank)

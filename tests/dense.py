@@ -39,6 +39,11 @@ def element(A, coords) -> np.ndarray:
     return out.reshape(*c.shape[:-1], A.rep_dim, A.rep_dim)
 
 
+def unit_coords(A) -> np.ndarray:
+    """The coordinates of the identity of a unital StarAlgebra A, as complex numbers."""
+    return np.where(A.unit == EMPTY, 0, _phase(A.unit / A.q))
+
+
 def coords_batch(A, mats: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Coordinates in a StarAlgebra A of a stack (k, D, D), a gather over the
     supports; raises if any matrix falls off the span by more than tol."""

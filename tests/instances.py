@@ -8,11 +8,11 @@ from twistkit import groups
 from twistkit.cocycles import Cochain1, Cocycle2, coboundary, klein_bicharacter, multiply, trivial_cocycle
 from twistkit.groups import FiniteGroup, Subgroup, center, generated_subgroup, subgroup_as_group
 from twistkit.staralg import (
+    StarAlgebra,
     TwistedSystem,
     matrix_algebra,
     scalar_system,
     system_from_normal,
-    trivial_system,
     twisted_group_algebra,
 )
 
@@ -29,6 +29,13 @@ def small_groups() -> list[FiniteGroup]:
         groups.quaternion8(),
         groups.symmetric(3),
     ]
+
+
+def trivial_system(A: StarAlgebra, F: FiniteGroup) -> TwistedSystem:
+    """F acting trivially on the unital algebra A, with the unit cocycle."""
+    f, n = F.order, A.dim
+    target = np.broadcast_to(np.arange(n), (f, n))
+    return TwistedSystem(A, F, target, np.zeros((f, n)), np.broadcast_to(A.unit, (f, f, n)), A.q)
 
 
 def random_coboundary(G: FiniteGroup, rng, denom: int = 8) -> Cocycle2:

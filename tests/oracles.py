@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's bar-resolution and
 splitting code paths.  The second homology of a finite group is computed
 from the relation module of a generating set (a free-resolution argument
 needing only integer kernels and cokernels), and abelian invariants are
-classified by order counting, with no normal form involved.
+classified by order counting, with no normal form involved.  Subgroup
+closures and the Smith diagonal of the cokernels are computed here, in
+plain Python, so that no oracle shares the reductions it checks.
 """
 
 from __future__ import annotations
@@ -37,14 +39,58 @@ EXPECTED_H2 = {
 EXPECTED_F = {0: 0, 1: 1, 2: 485, 3: 1417175}
 
 
+def closure(G: groups.FiniteGroup, gens) -> set[int]:
+    """The subgroup the elements gens generate: products of generators,
+    grown breadth first from the identity until nothing new appears."""
+    out, frontier = {0}, [0]
+    while frontier:
+        frontier = [y for y in {int(G.table[x, g]) for x in frontier for g in gens} if y not in out]
+        out.update(frontier)
+    return out
+
+
 def greedy_generators(G: groups.FiniteGroup) -> list[int]:
     gens: list[int] = []
-    closure = {0}
-    by_order = sorted(G.elements(), key=lambda i: -G.order_of(i))
-    while len(closure) < G.order:
-        gens.append(next(i for i in by_order if i not in closure))
-        closure = set(groups.generated_subgroup(G, gens).members)
+    inside = {0}
+    by_order = sorted(range(G.order), key=lambda i: -G.order_of(i))
+    while len(inside) < G.order:
+        gens.append(next(i for i in by_order if i not in inside))
+        inside = closure(G, gens)
     return gens
+
+
+def smith_diagonal(M) -> list[int]:
+    """The nonzero entries, up to sign, of a diagonal form U @ M @ V with U
+    and V unimodular, by Euclidean row and column steps on Python ints:
+    the least nonzero entry is moved to the corner and clears its row and
+    column, or leaves a smaller remainder that becomes the next pivot."""
+    A = [[int(x) for x in row] for row in np.asarray(M).tolist()]
+    diag: list[int] = []
+    while True:
+        entries = [(abs(v), i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v]
+        if not entries:
+            return diag
+        _, i, j = min(entries)
+        A[0], A[i] = A[i], A[0]
+        for row in A:
+            row[0], row[j] = row[j], row[0]
+        p = A[0][0]
+        for row in A[1:]:
+            q = row[0] // p
+            row[:] = [a - q * b for a, b in zip(row, A[0])]
+        for c in range(1, len(A[0])):
+            q = A[0][c] // p
+            for row in A:
+                row[c] -= q * row[0]
+        if not any(row[0] for row in A[1:]) and not any(A[0][1:]):
+            diag.append(abs(p))
+            A = [row[1:] for row in A[1:]]
+
+
+def cokernel_invariants(M) -> intlin.AbelianInvariants:
+    """Z^rows / column-span(M) from smith_diagonal."""
+    diag = smith_diagonal(M)
+    return intlin.invariants_from_orders(diag, np.shape(M)[0] - len(diag))
 
 
 def _kernel_with_coordinates(M):
@@ -73,7 +119,7 @@ def hopf_h2(G: groups.FiniteGroup) -> intlin.AbelianInvariants:
     Phi = np.zeros((m, g * m), dtype=np.int64)
     for t, x in enumerate(gens):
         for h in range(m):
-            Phi[G.mul(h, x), t * m + h] += 1
+            Phi[G.table[h, x], t * m + h] += 1
             Phi[h, t * m + h] -= 1
     Kb, coords = _kernel_with_coordinates(Phi)  # (g*m, z), a Z-basis of R
     z = Kb.shape[1]
@@ -82,7 +128,7 @@ def hopf_h2(G: groups.FiniteGroup) -> intlin.AbelianInvariants:
     def act(s, M):
         out = np.empty_like(M)
         for t in range(g):
-            rows = [t * m + G.mul(s, h) for h in range(m)]
+            rows = [t * m + G.table[s, h] for h in range(m)]
             out[rows, :] = M[t * m : (t + 1) * m, :]
         return out
 
@@ -102,7 +148,7 @@ def hopf_h2(G: groups.FiniteGroup) -> intlin.AbelianInvariants:
     # relations already map to zero under mu, so they lift
     assert not np.any(intlin.exact_matmul(Mu, W))
     Y = intlin.exact_matmul(n_coords, W)
-    out = intlin.invariants_from_diagonal(intlin.smith_diagonal(Y), N.shape[1])
+    out = cokernel_invariants(Y)
     assert out.free_rank == 0, "H2 of a finite group must be finite"
     return out
 
@@ -115,7 +161,7 @@ def abelian_invariants_by_counting(G: groups.FiniteGroup) -> intlin.AbelianInvar
     cyclic p-power factor.
     """
     assert G.is_abelian()
-    orders = [G.order_of(i) for i in G.elements()]
+    orders = [G.order_of(i) for i in range(G.order)]
     m = G.order
     prime_powers: list[int] = []
     mm, p = m, 2
@@ -147,7 +193,8 @@ def abelian_invariants_by_counting(G: groups.FiniteGroup) -> intlin.AbelianInvar
 
 def abelianization_by_counting(G: groups.FiniteGroup) -> intlin.AbelianInvariants:
     """G/[G,G] classified by element-order statistics of the quotient table."""
-    Q, _, _ = groups.quotient(G, groups.commutator_subgroup(G))
+    commutators = {int(G.table[G.table[g, h], G.inverse[G.table[h, g]]]) for g in range(G.order) for h in range(G.order)}
+    Q, _, _ = groups.quotient(G, groups.Subgroup(G, tuple(closure(G, commutators))))
     return abelian_invariants_by_counting(Q)
 
 
@@ -191,7 +238,7 @@ def conjugacy_class_count(G: groups.FiniteGroup) -> int:
         if g in seen:
             continue
         count += 1
-        seen.update(G.conjugate(h, g) for h in range(G.order))
+        seen.update(G.table[G.table[h, g], G.inverse[h]] for h in range(G.order))
     return count
 
 

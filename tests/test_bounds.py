@@ -95,8 +95,6 @@ class TestDerivedBounds:
         assert wreath_bound_finite_K(0) == 2
         assert wreath_bound_finite_K(1) == 18
         assert wreath_bound_finite_K(2) == 162
-        # the fiber dimension does not enter
-        assert wreath_bound_finite_K(1, dim_A=99) == 18
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -507,6 +507,27 @@ class TestJsonDepth:
         assert proc.returncode == 0 and json.loads(proc.stdout)["hirsch"] == 0
 
 
+def _called_from(frames, fn):
+    """fn() called that many Python frames below this one."""
+    return fn() if frames == 0 else _called_from(frames - 1, fn)
+
+
+class TestDescriptorsAtAnyStackDepth:
+    @pytest.mark.parametrize(
+        "argv",
+        [("hirsch", "--descriptor", "@{}"), ("verdict", "--base", "@{}", "--top", "Z")],
+        ids=["hirsch", "verdict"],
+    )
+    def test_deepest_descriptor_answers_the_same(self, tmp_path, argv):
+        # the deepest document the depth cap admits, evaluated in this process
+        path = tmp_path / "d.json"
+        path.write_text(_deep_descriptor(cli._JSON_DEPTH_CAP - 1))
+        argv = [a.format(path) for a in argv]
+        answers = [_called_from(frames, lambda: invoke(*argv)) for frames in (0, 30, 300)]
+        assert answers[0][0] == 0 and answers[0][1], answers[0][2][-200:]
+        assert answers[1] == answers[0] and answers[2] == answers[0]
+
+
 class TestBadArgvFuzz:
     """Seeded malformed argv through cli.run: every one ends in exit 0, 1 or
     2, never a traceback or an internal error."""

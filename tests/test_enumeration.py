@@ -57,7 +57,7 @@ class TestConstructors:
         nb = B.order
         ref = np.empty((A.order * nb,) * 2, dtype=np.int64)
         for a1, b1, a2, b2 in product(range(A.order), range(nb), range(A.order), range(nb)):
-            ref[a1 * nb + b1, a2 * nb + b2] = A.mul(a1, a2) * nb + B.mul(b1, b2)
+            ref[a1 * nb + b1, a2 * nb + b2] = A.table[a1, a2] * nb + B.table[b1, b2]
         assert np.array_equal(groups.direct_product(A, B).table, ref)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -67,22 +67,8 @@ class TestConstructors:
         act = _inversion(A)
         ref = np.empty((2 * n, 2 * n), dtype=np.int64)
         for a1, b1, a2, b2 in product(range(n), range(2), range(n), range(2)):
-            ref[a1 * 2 + b1, a2 * 2 + b2] = A.mul(a1, int(act[b1, a2])) * 2 + B.mul(b1, b2)
+            ref[a1 * 2 + b1, a2 * 2 + b2] = A.table[a1, int(act[b1, a2])] * 2 + B.table[b1, b2]
         assert np.array_equal(groups.semidirect(A, B, act).table, ref)
-
-    def test_wreath_c2_c3_little_endian(self):
-        # f: H -> K little-endian in base |K|; (f, h) at code(f)*|H| + h,
-        # (f1, h1)(f2, h2) = (f1 . (h1.f2), h1 h2), (h.f)(x) = f(h^-1 x)
-        K, H = groups.cyclic(2), groups.cyclic(3)
-        nk, nh = K.order, H.order
-        funcs = [tuple((c // nk**x) % nk for x in range(nh)) for c in range(nk**nh)]
-        code = {f: sum(v * nk**x for x, v in enumerate(f)) for f in funcs}
-        ref = np.empty((len(funcs) * nh,) * 2, dtype=np.int64)
-        for f1, h1, f2, h2 in product(funcs, range(nh), funcs, range(nh)):
-            moved = [f2[H.mul(H.inv(h1), x)] for x in range(nh)]
-            prod = tuple(K.mul(f1[x], moved[x]) for x in range(nh))
-            ref[code[f1] * nh + h1, code[f2] * nh + h2] = code[prod] * nh + H.mul(h1, h2)
-        assert np.array_equal(groups.wreath(K, H).table, ref)
 
     @pytest.mark.parametrize("factors", [(), (5,), (2, 4), (2, 2, 2), (3, 2, 4)])
     def test_abelian_group_mixed_radix(self, factors):
@@ -101,7 +87,7 @@ class TestConstructors:
         G = groups.symmetric(4)
         for i, p in enumerate(perms):
             for j, q in enumerate(perms):
-                assert perms[G.mul(i, j)] == tuple(p[q[x]] for x in range(4))
+                assert perms[G.table[i, j]] == tuple(p[q[x]] for x in range(4))
 
 
 class TestJsonRenumbering:
@@ -127,27 +113,29 @@ class TestSubgroupsAndCosets:
         (groups.dihedral(4), "gen", [4]),
         (groups.quaternion8(), "center", None),
         (groups.symmetric(4), "gen", [1, 2]),
-        (groups.symmetric(4), "commutator", None),
+        (groups.symmetric(4), "alternating", None),
     ]
 
     def _subgroup(self, G, kind, gens):
         if kind == "center":
             return groups.center(G)
-        if kind == "commutator":
-            return groups.commutator_subgroup(G)
+        if kind == "alternating":  # generated by the 3-cycles
+            return groups.generated_subgroup(G, [x for x in range(G.order) if G.order_of(x) == 3])
         return groups.generated_subgroup(G, gens)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_left_cosets(self, case):
+    def test_coset_index(self, case):
         G, kind, gens = self.CASES[case]
         S = self._subgroup(G, kind, gens)
         ref = []
         for g in range(G.order):
-            coset = tuple(sorted(G.mul(g, s) for s in S.members))
+            coset = tuple(sorted(G.table[g, s] for s in S.members))
             if coset not in ref:
                 ref.append(coset)
         ref.sort(key=lambda c: c[0])
-        assert groups.left_cosets(G, S) == ref
+        number, reps = groups.coset_index(G, S)
+        assert reps.tolist() == [c[0] for c in ref]
+        assert all(g in ref[number[g]] for g in range(G.order))
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_subgroup_as_group(self, case):
@@ -155,24 +143,24 @@ class TestSubgroupsAndCosets:
         S = self._subgroup(G, kind, gens)
         H, emb = groups.subgroup_as_group(S)
         assert emb == list(S.members)
-        ref = [[emb.index(G.mul(a, b)) for b in emb] for a in emb]
+        ref = [[emb.index(G.table[a, b]) for b in emb] for a in emb]
         assert H.table.tolist() == ref
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_quotient(self, case):
         G, kind, gens = self.CASES[case]
         N = self._subgroup(G, kind, gens)
-        if not all(G.conjugate(g, x) in N.members for g in range(G.order) for x in N.members):
+        if not all(G.table[G.table[g, x], G.inverse[g]] in N.members for g in range(G.order) for x in N.members):
             with pytest.raises(InvalidGroupError):
                 groups.quotient(G, N)
             return
         # cosets numbered by ascending minimal element, which is the lift
-        reps = sorted({min(G.mul(g, n) for n in N.members) for g in range(G.order)})
-        proj = [reps.index(min(G.mul(g, n) for n in N.members)) for g in range(G.order)]
+        reps = sorted({min(G.table[g, n] for n in N.members) for g in range(G.order)})
+        proj = [reps.index(min(G.table[g, n] for n in N.members)) for g in range(G.order)]
         Q, p, lift = groups.quotient(G, N)
         assert lift.tolist() == reps
         assert p.map.tolist() == proj
-        assert Q.table.tolist() == [[proj[G.mul(a, b)] for b in reps] for a in reps]
+        assert Q.table.tolist() == [[proj[G.table[a, b]] for b in reps] for a in reps]
 
 
 def _digest(ext):

@@ -5,17 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense import all_pairs_closure, coords_batch, dense_system, element, monomial_rows
-from instances import imprimitivity_instance, random_coboundary, small_groups, stabilization_instance
+from dense import all_pairs_closure, coords_batch, dense_system, element, monomial_rows, unit_coords
+from instances import imprimitivity_instance, random_coboundary, small_groups, stabilization_instance, trivial_system
+from reference import fiber_decomposition, sigma_chi, subgroup_characters
 from oracles import character_degrees, conjugacy_class_count, corpus_with_h2, omega_regular_class_count, relabeled
 
 from twistkit.cocycles import (
     Cochain1,
+    characters_for_factors,
     coboundary,
     klein_bicharacter,
     multiply,
-    sigma_chi,
-    subgroup_characters,
+    normalize,
     trivial_cocycle,
 )
 from twistkit.errors import (
@@ -23,6 +24,7 @@ from twistkit.errors import (
     ResourceCapError,
     VerificationError,
 )
+from twistkit.extensions import cocycle_of_character
 from twistkit.groups import (
     Subgroup,
     center,
@@ -34,6 +36,7 @@ from twistkit.groups import (
     subgroup_as_group,
     symmetric,
 )
+from twistkit.homology import build_chain, make_splitting
 from twistkit.staralg import (
     EMPTY,
     BlockProfile,
@@ -43,13 +46,11 @@ from twistkit.staralg import (
     block_profile,
     crossed_product,
     cutdown_fiber,
-    fiber_decomposition,
     matrix_algebra,
     scalar_algebra,
     scalar_system,
     system_from_normal,
     tensor_algebra,
-    trivial_system,
     twisted_group_algebra,
     verify_imprimitivity,
     verify_stabilization,
@@ -65,12 +66,12 @@ class TestStarAlgebra:
     def test_matrix_algebra_basics(self):
         A = matrix_algebra(3)
         assert A.dim == 9 and A.rep_dim == 3
-        assert A.unit_coords is not None
-        assert abs(A.trace(A.unit_coords) - 1) < 1e-12
+        assert A.unit is not None
+        assert abs(unit_coords(A) @ A.trace_vector - 1) < 1e-12
 
     def test_scalar_algebra(self):
         A = scalar_algebra()
-        assert A.dim == 1 and A.unit_coords is not None
+        assert A.dim == 1 and A.unit is not None
 
     def test_dependent_basis_rejected(self):
         b = np.zeros((2, 2, 2), dtype=complex)
@@ -282,7 +283,7 @@ class TestTwistedGroupAlgebra:
         # the bicharacter has omega(ab, ab) = 1/2; the algebra still comes
         # out unital with the exact delta trace
         A = twisted_group_algebra(klein(), klein_bicharacter())
-        assert A.unit_coords is not None
+        assert A.unit is not None
         assert A.trace_vector[0] == 1
 
     def test_profile_invariant_under_coboundaries(self):
@@ -298,6 +299,24 @@ class TestTwistedGroupAlgebra:
     def test_group_mismatch(self):
         with pytest.raises(ValueError):
             twisted_group_algebra(cyclic(4), trivial_cocycle(cyclic(3)))
+
+    def test_structure_is_the_normalized_cocycle(self):
+        # u_g u_h = omega(g, h) u_gh: one structure entry per pair (g, h), at key
+        # g * m + h, on u_gh with the coefficient omega(g, h) of the normalized
+        # cocycle; untwisted, under a random coboundary, and for a cocycle of every
+        # class of H2 up to order 8 (an order-16 splitting takes 2 s)
+        rng = np.random.default_rng(41)
+        for G, h2 in corpus_with_h2():
+            cases = [trivial_cocycle(G), random_coboundary(G, rng)]
+            if h2 and G.order <= 8:
+                split = make_splitting(build_chain(G))
+                for chi in characters_for_factors(h2):
+                    cases.append(multiply(cocycle_of_character(split, chi), random_coboundary(G, rng)))
+            for omega in cases:
+                A, (norm, _) = twisted_group_algebra(G, omega), normalize(omega)
+                want = (np.arange(G.order**2), G.table.ravel(), norm.num.ravel())
+                assert A.q == norm.q, G.name
+                assert all(np.array_equal(got, w) for got, w in zip(A.structure, want)), G.name
 
     def test_block_count_is_omega_regular_class_count(self):
         # Conlon: C[G, omega] has one simple block per omega-regular class
@@ -347,7 +366,7 @@ class TestTwistedSystem:
         C2 = cyclic(2)
         alpha = np.broadcast_to(np.eye(4, dtype=complex), (2, 4, 4)).copy()
         alpha[0] = -np.eye(4)
-        omega = np.broadcast_to(A.unit_coords, (2, 2, 4)).copy()
+        omega = np.broadcast_to(unit_coords(A), (2, 2, 4)).copy()
         with pytest.raises(VerificationError):
             dense_system(A, C2, alpha, omega, 2)
 
@@ -377,7 +396,7 @@ class TestTwistedSystem:
         # alpha_1 alpha_1 = alpha_2, but alpha_1 alpha_2 = Ad(diag(1, -i)) != alpha_0
         A, C3 = matrix_algebra(2), cyclic(3)
         alpha = np.array([np.diag([1, np.conj(u), u, 1]) for u in (1, 1j, -1)], dtype=complex)
-        omega = np.broadcast_to(A.unit_coords, (3, 3, 4)).copy()
+        omega = np.broadcast_to(unit_coords(A), (3, 3, 4)).copy()
         with pytest.raises(VerificationError, match=r"composition axiom fails at \(1,2\)"):
             dense_system(A, C3, alpha, omega, 4)
 
