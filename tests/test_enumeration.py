@@ -124,7 +124,7 @@ class TestSubgroupsAndCosets:
         return groups.generated_subgroup(G, gens)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_coset_index(self, case):
+    def test_left_cosets(self, case):
         G, kind, gens = self.CASES[case]
         S = self._subgroup(G, kind, gens)
         ref = []

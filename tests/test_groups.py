@@ -243,6 +243,17 @@ class TestSubgroupsAndQuotients:
         with pytest.raises(InvalidGroupError):
             groups.quotient(S3, H)
 
+    def test_left_cosets_partition(self):
+        S3 = groups.symmetric(3)
+        t = next(i for i in range(S3.order) if S3.order_of(i) == 2)
+        H = groups.generated_subgroup(S3, [t])
+        number, reps = groups.coset_index(S3, H)
+        assert len(reps) == 3
+        assert reps[0] == 0
+        assert sorted(number.tolist()) == [0, 0, 1, 1, 2, 2]
+        for c, r in enumerate(reps.tolist()):
+            assert sorted(g for g in range(6) if number[g] == c) == sorted(S3.table[r, h] for h in H.members)
+
     def test_homomorphism_validation(self):
         G = groups.cyclic(4)
         H = groups.cyclic(2)

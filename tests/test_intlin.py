@@ -284,6 +284,24 @@ class TestAbelianInvariants:
         assert intlin.invariants_from_orders([4, 6]).torsion == (2, 12)
         assert intlin.invariants_from_orders([1, 1]).is_trivial
 
+    def test_cokernel(self):
+        def coker(M):
+            # Z^rows / column-span(M), read off the diagonal of smith_cokernel
+            D, _, _ = intlin.smith_cokernel(M)
+            nonzero = [int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0]
+            return intlin.invariants_from_orders(nonzero, np.asarray(M).shape[0] - len(nonzero))
+
+        assert coker([[2]]) == intlin.AbelianInvariants((2,))
+        assert coker([[1]]).is_trivial
+        assert coker(np.zeros((2, 1), dtype=np.int64)) == intlin.AbelianInvariants((), 2)
+        assert coker([[2, 0], [0, 3], [0, 0]]) == intlin.AbelianInvariants((6,), 1)
+
+    def test_direct_sum(self):
+        a = intlin.AbelianInvariants((2,), 1)
+        b = intlin.AbelianInvariants((3,))
+        summed = intlin.invariants_from_orders(a.torsion + b.torsion, a.free_rank + b.free_rank)
+        assert summed == intlin.AbelianInvariants((6,), 1)
+
     def test_ext_hand_values(self):
         z6 = intlin.AbelianInvariants((6,))
         z4 = intlin.AbelianInvariants((4,))
