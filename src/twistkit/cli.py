@@ -256,7 +256,7 @@ def _check_argument(name: str, n: int, cap: int) -> None:
 
 
 def _check_printable(value: int) -> int:
-    if abs(value) >= 10**dsc.PRINT_DIGITS:
+    if abs(value) >= dsc.PRINT_BOUND:
         raise ValueError(f"the bound has more than {dsc.PRINT_DIGITS} decimal digits")
     return value
 

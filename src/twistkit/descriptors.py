@@ -28,8 +28,9 @@ INF = math.inf
 
 # Python converts an int of at most 4300 decimal digits to a string (the
 # default of sys.set_int_max_str_digits); every printed cardinality and
-# bound stays within it
+# bound stays within it, so below PRINT_BOUND
 PRINT_DIGITS = 4300
+PRINT_BOUND = 10**PRINT_DIGITS
 
 _FLAG_KEYS = (
     "finitely_generated",
@@ -252,9 +253,9 @@ def _too_many_digits() -> ValueError:
 
 
 def _printable(n: int) -> int:
-    # every finite cardinality is below 10**PRINT_DIGITS, so a product of
-    # two of them is cheap to form and check
-    if n >= 10**PRINT_DIGITS:
+    # every finite cardinality is below PRINT_BOUND, so a product of two of
+    # them is cheap to form and check
+    if n >= PRINT_BOUND:
         raise _too_many_digits()
     return n
 

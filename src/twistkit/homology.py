@@ -8,6 +8,10 @@ basis order), with boundaries
 
 H1 = C1 / im(d2) and H2 = ker(d2) / im(d3); both are finite here.
 
+A boundary is stored as its faces: the flat indices of the k + 1 faces of
+each k-tuple, with alternating signs.  M @ d is then a signed gather of the
+columns of M, and a dense boundary is that gather on an identity.
+
 h1 and h2 return invariant factors only.  They use the normalized complex,
 which drops every tuple containing the identity (and every face landing
 on one), and read the torsion of the cokernel prime by prime from local
@@ -40,19 +44,28 @@ _ORDER_CAP = 24
 
 @dataclass(frozen=True)
 class ChainData:
-    """Bar-complex boundary matrices of one group.
+    """Bar-complex boundaries of one group.
 
-    d2 has shape (m, m^2), d3 has shape (m^2, m^3); the basis tuple at
-    flat index i*m + j is (g_i, g_j), and likewise for triples.
+    d2 is the dense (m, m^2) matrix.  d3_faces is the (4, m^3) face array
+    of d3 (see _faces): the basis pair at flat index i*m + j is (g_i, g_j),
+    and likewise for triples.
     """
 
     group: FiniteGroup
     d2: np.ndarray
-    d3: np.ndarray
+    d3_faces: np.ndarray
 
     @property
     def m(self) -> int:
         return self.group.order
+
+    @property
+    def d3(self) -> np.ndarray:
+        """The dense (m^2, m^3) d3, read-only, realized from d3_faces on each
+        access; nothing in this module reads it."""
+        d3 = _dense(self.d3_faces, self.m**2)
+        d3.setflags(write=False)
+        return d3
 
 
 def check_bar_cap(order: int) -> None:
@@ -61,49 +74,50 @@ def check_bar_cap(order: int) -> None:
         raise ResourceCapError(f"bar complex capped at order {_ORDER_CAP}, got {order}")
 
 
-def _bar_d2(tbl: np.ndarray, lo: int) -> np.ndarray:
-    """d2 on the pairs of elements with index >= lo, faces below lo dropped.
-
-    lo = 0 gives the full bar complex, lo = 1 the normalized one (no tuple
-    contains the identity); element i sits at position i - lo.
-    """
+def _faces(tbl: np.ndarray, k: int, lo: int) -> np.ndarray:
+    """The k + 1 faces of d_k on the k-tuples of elements with index >= lo
+    (element g at position g - lo): row i, sign (-1)^i, holds the flat index
+    of face i of each k-tuple.  Face 0 drops the first element, face i
+    multiplies elements i and i + 1, face k drops the last.  A face holding
+    an element below lo is dropped, stored as -1: lo = 0 gives the full bar
+    complex, lo = 1 the normalized one."""
     n = len(tbl) - lo
-    el = np.arange(lo, len(tbl))
-    g1, g2 = np.repeat(el, n), np.tile(el, n)
-    cols = np.arange(n * n)
-    d2 = np.zeros((n, n * n), dtype=np.int64)
-    for sign, face in ((1, g1), (-1, tbl[g1, g2]), (1, g2)):
-        keep = face >= lo
-        np.add.at(d2, (face[keep] - lo, cols[keep]), sign)
-    return d2
+    # a product below lo counts -n^(k-1), which makes its face's flat index negative
+    prod = np.where(tbl[lo:, lo:] < lo, -(n ** (k - 1)), tbl[lo:, lo:] - lo)
+    g = list(np.indices((n,) * k).reshape(k, -1))
+    faces = [g[1:], *(g[:i] + [prod[g[i], g[i + 1]]] + g[i + 2 :] for i in range(k - 1)), g[:-1]]
+    out = np.zeros((k + 1, n**k), dtype=np.int64)
+    for row, face in zip(out, faces):
+        for a in face:
+            row[:] = row * n + a
+    return np.maximum(out, -1, out=out)
 
 
-def _bar_d3(tbl: np.ndarray, lo: int) -> np.ndarray:
-    """d3 on the triples of elements with index >= lo, as _bar_d2."""
-    n = len(tbl) - lo
-    el = np.arange(lo, len(tbl))
-    h1 = np.repeat(el, n * n)
-    h2 = np.tile(np.repeat(el, n), n)
-    h3 = np.tile(el, n * n)
-    cols = np.arange(n**3)
-    d3 = np.zeros((n * n, n**3), dtype=np.int64)
-    faces = ((1, h2, h3), (-1, tbl[h1, h2], h3), (1, h1, tbl[h2, h3]), (-1, h1, h2))
-    for sign, a, b in faces:
-        keep = (a >= lo) & (b >= lo)
-        np.add.at(d3, ((a[keep] - lo) * n + b[keep] - lo, cols[keep]), sign)
-    return d3
+def _times_boundary(M: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """M @ d for the boundary d with these faces: the signed sum of the columns
+    of M at each face, in M's dtype; a dropped face (-1) reads an appended zero column."""
+    padded = np.concatenate([M, np.zeros((len(M), 1), dtype=M.dtype)], axis=1)
+    out = padded[:, faces[0]]
+    for i, face in enumerate(faces[1:], 1):
+        (np.subtract if i % 2 else np.add)(out, padded[:, face], out=out)
+    return out
+
+
+def _dense(faces: np.ndarray, n: int) -> np.ndarray:
+    """The dense int64 boundary matrix with these faces, on n basis tuples."""
+    return _times_boundary(np.eye(n, dtype=np.int64), faces)
 
 
 def build_chain(G: FiniteGroup) -> ChainData:
-    """Boundary matrices of the bar complex; verifies d2 @ d3 = 0."""
+    """Bar-complex boundaries; verifies d2 @ d3 = 0."""
     check_bar_cap(G.order)
-    d2 = _bar_d2(G.table, 0)
-    d3 = _bar_d3(G.table, 0)
-    if np.any(d2 @ d3):
+    d2 = _dense(_faces(G.table, 2, 0), G.order)
+    d3_faces = _faces(G.table, 3, 0)
+    if np.any(_times_boundary(d2, d3_faces)):
         raise VerificationError("d2 @ d3 != 0")
     d2.setflags(write=False)
-    d3.setflags(write=False)
-    return ChainData(G, d2, d3)
+    d3_faces.setflags(write=False)
+    return ChainData(G, d2, d3_faces)
 
 
 @dataclass(frozen=True)
@@ -136,9 +150,9 @@ def h2_presentation(chain: ChainData) -> H2Presentation:
     _, V, Vinv, pivots = reduction
     K = V[:, len(pivots) :]
     z = K.shape[1]
-    # boundary columns in kernel coordinates, compressed to at most z
-    # columns before the Smith form
-    X = intlin.exact_matmul(Vinv[len(pivots) :], _distinct_columns(chain.d3))
+    # boundary columns in kernel coordinates; repeated and zero columns
+    # leave the (unique, reduced) Hermite basis of their lattice unchanged
+    X = _times_boundary(Vinv[len(pivots) :], chain.d3_faces)
     D, U, Uinv = intlin.smith_cokernel(intlin.hermite_basis(X))
     diag = [int(D[i, i]) for i in range(min(D.shape))] + [0] * (z - min(D.shape))
     if any(d == 0 for d in diag):
@@ -192,19 +206,7 @@ def h1(G: FiniteGroup) -> intlin.AbelianInvariants:
     coincides with the abelianization of G."""
     m = G.order
     check_bar_cap(m)
-    return _finite_cokernel(_bar_d2(G.table, 1), m, m - 1)
-
-
-def _distinct_columns(d3: np.ndarray) -> np.ndarray:
-    """The nonzero columns of d3, each once: the others add nothing to the
-    image.  Columns are compared as int8 byte strings (entries are in
-    [-4, 4]), in order of first occurrence."""
-    cols = np.ascontiguousarray(d3.T, dtype=np.int8)
-    nonzero = np.flatnonzero(cols.any(axis=1))
-    cols = cols[nonzero]
-    keys = cols.view(np.dtype((np.void, cols.shape[1]))).ravel()
-    _, first = np.unique(keys, return_index=True)
-    return d3[:, nonzero[np.sort(first)]]
+    return _finite_cokernel(_dense(_faces(G.table, 2, 1), m - 1), m, m - 1)
 
 
 def h2(G: FiniteGroup) -> intlin.AbelianInvariants:
@@ -212,15 +214,16 @@ def h2(G: FiniteGroup) -> intlin.AbelianInvariants:
 
     C2 / Z2 is isomorphic to the free group B1, so coker(d3) = H2 + free,
     and rank(d3) = rank(Z2) = (m-1)^2 - (m-1) because H1 and H2 are
-    finite.  The prime-by-prime local Smith forms of d3 give H2 exactly.
+    finite.  The prime-by-prime local Smith forms of d3 (repeated columns
+    change nothing) give H2 exactly.
     """
     m = G.order
     check_bar_cap(m)
-    d2 = _bar_d2(G.table, 1)
-    d3 = _distinct_columns(_bar_d3(G.table, 1))
-    if np.any(d2 @ d3):
+    d2 = _dense(_faces(G.table, 2, 1), m - 1)
+    faces = _faces(G.table, 3, 1)
+    if np.any(_times_boundary(d2, faces)):
         raise VerificationError("d2 @ d3 != 0")
-    return _finite_cokernel(d3, m, (m - 1) * (m - 2))
+    return _finite_cokernel(_dense(faces, (m - 1) ** 2), m, (m - 1) * (m - 2))
 
 
 @dataclass(frozen=True)
@@ -289,19 +292,15 @@ def make_splitting(
         S = S + intlin.exact_matmul(K, R)
     if not np.array_equal(intlin.exact_matmul(chain.d2, S), Hb):
         raise VerificationError("sigma does not split d2")
-    n2 = chain.m * chain.m
-    eye = np.eye(n2, dtype=np.int64)
-    pi = eye - intlin.exact_matmul(S, T)
+    pi = np.eye(chain.m**2, dtype=np.int64) - intlin.exact_matmul(S, T)
     if np.any(intlin.exact_matmul(chain.d2, pi)):
         raise VerificationError("pi does not land in the cycle lattice")
     # kernel coordinates of pi = id - (S0 + K R) T, since Y S0 = 0, Y K = I
     P = Vinv[rb:] - intlin.exact_matmul(R, T)
     pibar = intlin.exact_matmul(pres.reduce_rows, P)
     d = np.array(pres.invariant_factors, dtype=object).reshape(-1, 1)
-    if len(pres.invariant_factors):
-        boundary_classes = intlin.exact_matmul(pibar, chain.d3)
-        if np.any(np.mod(np.asarray(boundary_classes, dtype=object), d)):
-            raise VerificationError("pibar does not kill boundaries")
+    if np.any(np.mod(_times_boundary(pibar, chain.d3_faces), d)):
+        raise VerificationError("pibar does not kill boundaries")
     return SplittingData(
         chain=chain,
         h2=pres,

@@ -1,8 +1,9 @@
 """Reference computations the tests compare the library against.
 
 Each reads the library's contract objects or checks one of the paper's
-identities, and no library code needs it: H2 coordinates of a cycle from
-an H2Presentation, the class of a cocycle as a character of H2, the
+identities, and no library code needs it: the dense bar-complex builders
+and the dense H2 presentation path the face form replaced, H2 coordinates
+of a cycle from an H2Presentation, the class of a cocycle as a character of H2, the
 characters of an abelian subgroup, the lifted-product cocycle sigma_chi,
 and the fiber decomposition of C[G] over a central subgroup, whose
 profiles must match the twisted algebras of the quotient.
@@ -16,8 +17,82 @@ from twistkit import intlin
 from twistkit.cocycles import Character, Cocycle2, central_character
 from twistkit.errors import InvalidGroupError, VerificationError
 from twistkit.groups import FiniteGroup, Subgroup, element_orders, generated_subgroup, mixed_radix, quotient
-from twistkit.homology import H2Presentation, SplittingData, build_chain, h2_presentation
+from twistkit.homology import ChainData, H2Presentation, SplittingData, build_chain, h2_presentation
 from twistkit.staralg import StarAlgebra, block_profile, cutdown_fiber, twisted_group_algebra
+
+
+def bar_d2(tbl: np.ndarray, lo: int) -> np.ndarray:
+    """d2 on the pairs of elements with index >= lo, faces below lo dropped.
+
+    lo = 0 gives the full bar complex, lo = 1 the normalized one (no tuple
+    contains the identity); element i sits at position i - lo.
+    """
+    n = len(tbl) - lo
+    el = np.arange(lo, len(tbl))
+    g1, g2 = np.repeat(el, n), np.tile(el, n)
+    cols = np.arange(n * n)
+    d2 = np.zeros((n, n * n), dtype=np.int64)
+    for sign, face in ((1, g1), (-1, tbl[g1, g2]), (1, g2)):
+        keep = face >= lo
+        np.add.at(d2, (face[keep] - lo, cols[keep]), sign)
+    return d2
+
+
+def bar_d3(tbl: np.ndarray, lo: int) -> np.ndarray:
+    """d3 on the triples of elements with index >= lo, as bar_d2."""
+    n = len(tbl) - lo
+    el = np.arange(lo, len(tbl))
+    h1 = np.repeat(el, n * n)
+    h2 = np.tile(np.repeat(el, n), n)
+    h3 = np.tile(el, n * n)
+    cols = np.arange(n**3)
+    d3 = np.zeros((n * n, n**3), dtype=np.int64)
+    faces = ((1, h2, h3), (-1, tbl[h1, h2], h3), (1, h1, tbl[h2, h3]), (-1, h1, h2))
+    for sign, a, b in faces:
+        keep = (a >= lo) & (b >= lo)
+        np.add.at(d3, ((a[keep] - lo) * n + b[keep] - lo, cols[keep]), sign)
+    return d3
+
+
+def distinct_columns(d3: np.ndarray) -> np.ndarray:
+    """The nonzero columns of d3, each once: the others add nothing to the
+    image.  Columns are compared as int8 byte strings (entries are in
+    [-4, 4]), in order of first occurrence."""
+    cols = np.ascontiguousarray(d3.T, dtype=np.int8)
+    nonzero = np.flatnonzero(cols.any(axis=1))
+    cols = cols[nonzero]
+    keys = cols.view(np.dtype((np.void, cols.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return d3[:, nonzero[np.sort(first)]]
+
+
+def dense_presentation(chain: ChainData) -> H2Presentation:
+    """h2_presentation on the dense boundaries: column_hnf of bar_d2, and
+    X = Y @ d3 by exact_matmul over the distinct nonzero columns of bar_d3."""
+    tbl = chain.group.table
+    reduction = intlin.column_hnf(bar_d2(tbl, 0))
+    _, V, Vinv, pivots = reduction
+    K = V[:, len(pivots) :]
+    z = K.shape[1]
+    X = intlin.exact_matmul(Vinv[len(pivots) :], distinct_columns(bar_d3(tbl, 0)))
+    D, U, Uinv = intlin.smith_cokernel(intlin.hermite_basis(X))
+    diag = [int(D[i, i]) for i in range(min(D.shape))] + [0] * (z - min(D.shape))
+    rho = [i for i, d in enumerate(diag) if d >= 2]
+    factors = tuple(diag[i] for i in rho)
+    return H2Presentation(chain, K, reduction, factors, U[rho, :], intlin.exact_matmul(K, Uinv[:, rho]))
+
+
+def dense_pibar(pres: H2Presentation, seed: int) -> np.ndarray:
+    """pibar_matrix of make_splitting(pres.chain, seed) from a presentation,
+    asserting with exact_matmul that it kills the columns of the dense d3."""
+    _, _, Vinv, pivots = pres.d2_reduction
+    rb = len(pivots)
+    R = np.random.default_rng(seed).integers(-2, 3, size=(pres.kernel.shape[1], rb))
+    pibar = intlin.exact_matmul(pres.reduce_rows, Vinv[rb:] - intlin.exact_matmul(R, Vinv[:rb]))
+    d = np.array(pres.invariant_factors, dtype=object).reshape(-1, 1)
+    boundary_classes = intlin.exact_matmul(pibar, bar_d3(pres.chain.group.table, 0))
+    assert not np.any(np.mod(np.asarray(boundary_classes, dtype=object), d))
+    return pibar
 
 
 def h2_coordinates(pres: H2Presentation, cycle_vec) -> tuple[int, ...]:

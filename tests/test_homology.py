@@ -1,6 +1,8 @@
 """Bar complex, H1/H2, and splitting identities, cross-checked against the
 relation-module oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from oracles import (
     hopf_h2,
     relabeled,
 )
-from reference import h2_coordinates
+from reference import bar_d2, bar_d3, dense_pibar, dense_presentation, h2_coordinates
 from twistkit import cocycles, groups, homology, intlin
 from twistkit.errors import ResourceCapError
 
@@ -65,6 +67,57 @@ class TestChain:
         big = groups.direct_product(groups.symmetric(4), groups.cyclic(2))
         with pytest.raises(ResourceCapError):
             homology.build_chain(big)
+
+    def test_build_chain_keeps_no_dense_d3(self):
+        # the dense d3 of S4 alone is a 576 x 13 824 int64 matrix, 64 MB
+        tracemalloc.start()
+        try:
+            homology.build_chain(groups.symmetric(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"build_chain(S4) peaked at {peak / 2**20:.1f} MB"
+
+
+def corpus_and_relabelings(below: int):
+    """The oracle corpus, with two seeded relabelings of each group of order below `below`."""
+    for G, _ in corpus_with_h2():
+        yield G
+        if G.order < below:
+            yield from (relabeled(G, seed) for seed in (3, 11))
+
+
+class TestDenseReference:
+    """The face form against the dense builders and presentation path it replaced."""
+
+    def test_boundaries_equal_the_dense_builders(self):
+        for G in corpus_and_relabelings(24):
+            tbl, m = G.table, G.order
+            chain = homology.build_chain(G)
+            for got, want in (
+                (chain.d2, bar_d2(tbl, 0)),
+                (chain.d3, bar_d3(tbl, 0)),
+                # the normalized matrices h1 and h2 consume
+                (homology._dense(homology._faces(tbl, 2, 1), m - 1), bar_d2(tbl, 1)),
+                (homology._dense(homology._faces(tbl, 3, 1), (m - 1) ** 2), bar_d3(tbl, 1)),
+            ):
+                assert got.dtype == want.dtype and np.array_equal(got, want), G.name
+
+    def test_presentations_equal_the_dense_path(self):
+        # every group of the corpus below order 24 and two relabelings of each
+        for G in corpus_and_relabelings(24):
+            if G.order >= 24:
+                continue
+            chain = homology.build_chain(G)
+            pres, ref = homology.h2_presentation(chain), dense_presentation(chain)
+            assert pres.invariant_factors == ref.invariant_factors, G.name
+            fields = zip((pres.kernel, pres.reduce_rows, pres.cycles, *pres.d2_reduction),
+                         (ref.kernel, ref.reduce_rows, ref.cycles, *ref.d2_reduction))
+            for got, want in fields:
+                assert got.dtype == want.dtype and np.array_equal(got, want), G.name
+            for seed in range(8):
+                pibar = homology.make_splitting(chain, seed=seed, presentation=pres).pibar_matrix
+                assert np.array_equal(pibar, dense_pibar(ref, seed)), (G.name, seed)
 
 
 class TestHomologyGroups:

@@ -590,6 +590,17 @@ class TestStabilization:
             report = verify_stabilization(stabilization_instance(seed), seed=seed)
             assert report["matches"]
 
+    def test_tensor_with_matrix_block_scales_the_profile(self):
+        # profile(A (x) M_f) = f * profile(A): verify_stabilization reports the scaled
+        # twisted profile as its twisted-then-tensor side without building the tensor
+        systems = [imprimitivity_instance(seed)[2] for seed in range(12)]
+        systems += [stabilization_instance(seed) for seed in range(25)]
+        cases = [(crossed_product(sys), sys.group.order) for sys in systems]
+        cases += [(twisted_group_algebra(G, trivial_cocycle(G)), G.order) for G in small_groups()]
+        for A, f in cases:
+            want = tuple(sorted(d * f for d in block_profile(A).blocks))
+            assert block_profile(tensor_algebra(A, matrix_algebra(f))).blocks == want, A.label
+
     def test_sigma_deviation_of_a_coboundary_system(self):
         # the cocycle blocks are composed on row maps with numpy's complex products,
         # so these bits no longer depend on the BLAS kernel (OpenBLAS zgemm over the
